@@ -20,8 +20,7 @@ from .groups import (ConjClass, PermGroup, alternating, catalog, cyclic,
                      dihedral, group_from_json, quaternion, symmetric,
                      trivial_group)
 from .inertia import (BGSector, CurveSector, curve_sectors,
-                      decompose_on_inertia, eigenspace_character,
-                      inertia_of_bg, rho_twist)
+                      decompose_on_inertia, inertia_of_bg, rho_twist)
 from .repring import (ClassFunction, VirtualRep, exterior_power, inner_product,
                       invariants_dim, irreducible, irreducibles,
                       lambda_minus_one, permutation_character,

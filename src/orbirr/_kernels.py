@@ -1,38 +1,13 @@
 """Integer hot loops: permutation-group scans and mod-p linear algebra.
 
-Two interchangeable backends.  The numba backend JIT-compiles the inner loops;
-the numpy backend is pure numpy/Python with identical semantics.  Selection:
-numba is used when importable unless the environment variable ORBIRR_NO_NUMBA
-is set (any non-empty value).  `BACKEND` records the active choice, and both
-implementations stay importable for cross-checking and benchmarks.
-
 Everything here is exact machine-integer arithmetic (permutation indices and
-residues mod a word-sized prime).  The cyclotomic/rational layers never pass
-through this module.
+residues mod a word-sized prime), in numpy.  The cyclotomic/rational layers
+never pass through this module.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-    def njit(*a, **k):
-        def deco(f):
-            return f
-
-        return deco(a[0]) if a and callable(a[0]) else deco
-
-
-USE_NUMBA = HAVE_NUMBA and not os.environ.get("ORBIRR_NO_NUMBA")
-BACKEND = "numba" if USE_NUMBA else "numpy"
 
 
 # --------------------------------------------------------------------------
@@ -50,36 +25,7 @@ def lex_order(elems: np.ndarray) -> np.ndarray:
     return np.argsort(_row_view(elems), kind="stable").astype(np.int64)
 
 
-@njit(cache=True)
-def _lookup_sorted_nb(elems, order, row):
-    lo, hi = 0, order.shape[0]
-    d = elems.shape[1]
-    while lo < hi:
-        mid = (lo + hi) // 2
-        idx = order[mid]
-        cmp = 0
-        for t in range(d):
-            a, b = elems[idx, t], row[t]
-            if a < b:
-                cmp = -1
-                break
-            if a > b:
-                cmp = 1
-                break
-        if cmp < 0:
-            lo = mid + 1
-        else:
-            hi = mid
-    if lo < order.shape[0]:
-        idx = order[lo]
-        for t in range(d):
-            if elems[idx, t] != row[t]:
-                return -1
-        return idx
-    return -1
-
-
-def _lookup_rows_np(elems, order, rows):
+def _lookup_rows(elems, order, rows):
     sorted_view = _row_view(elems[order])
     query = _row_view(np.atleast_2d(rows))
     pos = np.searchsorted(sorted_view, query)
@@ -91,20 +37,11 @@ def _lookup_rows_np(elems, order, rows):
     return out
 
 
-@njit(cache=True)
-def _lookup_rows_nb(elems, order, rows):
-    m = rows.shape[0]
-    out = np.empty(m, dtype=np.int64)
-    for i in range(m):
-        out[i] = _lookup_sorted_nb(elems, order, rows[i])
-    return out
-
-
 def lookup_rows(elems, order, rows):
     """Original indices of `rows` inside the element table (-1 if absent)."""
-    if USE_NUMBA:
-        return _lookup_rows_nb(elems, order, np.ascontiguousarray(rows))
-    return _lookup_rows_np(elems, order, rows)
+    # The scans below call `_lookup_rows` directly: a profiler or tracer that
+    # wraps the public names then sees one call per scan, not one per lookup.
+    return _lookup_rows(elems, order, rows)
 
 
 # --------------------------------------------------------------------------
@@ -112,37 +49,11 @@ def lookup_rows(elems, order, rows):
 # --------------------------------------------------------------------------
 
 
-@njit(cache=True)
-def _conjugacy_partition_nb(elems, order, gen_rows, gen_inv_rows):
-    n, d = elems.shape
-    k = gen_rows.shape[0]
-    class_id = np.full(n, -1, dtype=np.int64)
-    queue = np.empty(n, dtype=np.int64)
-    tmp = np.empty(d, dtype=np.int64)
-    cls = 0
-    for start in range(n):
-        if class_id[start] >= 0:
-            continue
-        class_id[start] = cls
-        queue[0] = start
-        head, tail = 0, 1
-        while head < tail:
-            x = queue[head]
-            head += 1
-            for g in range(k):
-                # y = gen * x * gen^{-1}
-                for t in range(d):
-                    tmp[t] = gen_rows[g, elems[x, gen_inv_rows[g, t]]]
-                y = _lookup_sorted_nb(elems, order, tmp)
-                if class_id[y] < 0:
-                    class_id[y] = cls
-                    queue[tail] = y
-                    tail += 1
-        cls += 1
-    return class_id
-
-
-def _conjugacy_partition_np(elems, order, gen_rows, gen_inv_rows):
+def conjugacy_partition(elems, order, gen_rows, gen_inv_rows):
+    """Label each element with its conjugacy class (discovery order)."""
+    elems, order, gen_rows, gen_inv_rows = (
+        np.ascontiguousarray(a, dtype=np.int64)
+        for a in (elems, order, gen_rows, gen_inv_rows))
     n = elems.shape[0]
     class_id = np.full(n, -1, dtype=np.int64)
     cls = 0
@@ -154,8 +65,9 @@ def _conjugacy_partition_np(elems, order, gen_rows, gen_inv_rows):
         while len(frontier):
             new: list[np.ndarray] = []
             for g, ginv in zip(gen_rows, gen_inv_rows):
+                # gen * x * gen^{-1} for every x in the frontier
                 conj = g[elems[frontier][:, ginv]]
-                idx = _lookup_rows_np(elems, order, conj)
+                idx = _lookup_rows(elems, order, conj)
                 fresh = idx[class_id[idx] < 0]
                 class_id[fresh] = cls
                 new.append(np.unique(fresh))
@@ -164,80 +76,29 @@ def _conjugacy_partition_np(elems, order, gen_rows, gen_inv_rows):
     return class_id
 
 
-def conjugacy_partition(elems, order, gen_rows, gen_inv_rows):
-    """Label each element with its conjugacy class (discovery order)."""
-    args = [np.ascontiguousarray(a, dtype=np.int64) for a in
-            (elems, order, gen_rows, gen_inv_rows)]
-    if USE_NUMBA:
-        return _conjugacy_partition_nb(*args)
-    return _conjugacy_partition_np(*args)
-
-
 # --------------------------------------------------------------------------
 # class multiplication constants a[i, j, k]
 #   a[i, j, k] = #{ x in C_i : x^{-1} * rep_k in C_j }
 # --------------------------------------------------------------------------
 
 
-@njit(cache=True)
-def _class_constants_nb(elems, order, class_of, reps_idx):
-    n, d = elems.shape
-    r = reps_idx.shape[0]
-    a = np.zeros((r, r, r), dtype=np.int64)
-    inv = np.empty(d, dtype=np.int64)
-    prod = np.empty(d, dtype=np.int64)
-    for x in range(n):
-        i = class_of[x]
-        for t in range(d):
-            inv[elems[x, t]] = t
-        for k in range(r):
-            z = reps_idx[k]
-            for t in range(d):
-                prod[t] = inv[elems[z, t]]
-            y = _lookup_sorted_nb(elems, order, prod)
-            a[i, class_of[y], k] += 1
-    return a
-
-
-def _class_constants_np(elems, order, class_of, reps_idx):
-    n = elems.shape[0]
+def class_constants(elems, order, class_of, reps_idx):
+    elems, order, class_of, reps_idx = (
+        np.ascontiguousarray(x, dtype=np.int64)
+        for x in (elems, order, class_of, reps_idx))
     r = len(reps_idx)
     inv_elems = np.argsort(elems, axis=1)  # row-wise permutation inverse
     a = np.zeros((r, r, r), dtype=np.int64)
     for k, z in enumerate(reps_idx):
         prod = inv_elems[:, elems[z]]
-        j = class_of[_lookup_rows_np(elems, order, prod)]
+        j = class_of[_lookup_rows(elems, order, prod)]
         np.add.at(a[:, :, k], (class_of, j), 1)
     return a
-
-
-def class_constants(elems, order, class_of, reps_idx):
-    args = [np.ascontiguousarray(x, dtype=np.int64) for x in
-            (elems, order, class_of, reps_idx)]
-    if USE_NUMBA:
-        return _class_constants_nb(*args)
-    return _class_constants_np(*args)
 
 
 # --------------------------------------------------------------------------
 # arithmetic mod p (word-sized primes from the Dixon table computation)
 # --------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _powmod_nb(a, e, p):
-    a %= p
-    out = 1
-    while e:
-        if e & 1:
-            out = out * a % p
-        a = a * a % p
-        e >>= 1
-    return out
-
-
-def powmod(a: int, e: int, p: int) -> int:
-    return pow(int(a), int(e), int(p))
 
 
 def _check_modp(p: int, n: int) -> None:
@@ -246,68 +107,18 @@ def _check_modp(p: int, n: int) -> None:
         raise OverflowError(f"prime {p} too large for int64 kernels at size {n}")
 
 
-def _modp_matmul_np(A, B, p):
+def modp_matmul(A, B, p):
+    A = np.ascontiguousarray(A, dtype=np.int64) % p
+    B = np.ascontiguousarray(B, dtype=np.int64) % p
     _check_modp(p, A.shape[1])
     return (A @ B) % p
 
 
-@njit(cache=True)
-def _modp_matmul_nb(A, B, p):
-    m, k = A.shape
-    n = B.shape[1]
-    C = np.zeros((m, n), dtype=np.int64)
-    for i in range(m):
-        for t in range(k):
-            a = A[i, t]
-            if a:
-                for j in range(n):
-                    C[i, j] = (C[i, j] + a * B[t, j]) % p
-    return C
-
-
-def modp_matmul(A, B, p):
-    A = np.ascontiguousarray(A, dtype=np.int64) % p
-    B = np.ascontiguousarray(B, dtype=np.int64) % p
-    if USE_NUMBA:
-        return _modp_matmul_nb(A, B, p)
-    return _modp_matmul_np(A, B, p)
-
-
-@njit(cache=True)
-def _modp_rref_nb(A, p):
-    R = A.copy()
+def modp_rref(A, p):
+    """Row-reduce A mod p; returns (reduced matrix, pivot columns)."""
+    R = np.ascontiguousarray(A, dtype=np.int64) % p
     m, n = R.shape
-    pivots = np.empty(min(m, n), dtype=np.int64)
-    rank = 0
-    for col in range(n):
-        sel = -1
-        for row in range(rank, m):
-            if R[row, col]:
-                sel = row
-                break
-        if sel < 0:
-            continue
-        if sel != rank:
-            for t in range(n):
-                R[rank, t], R[sel, t] = R[sel, t], R[rank, t]
-        inv = _powmod_nb(R[rank, col], p - 2, p)
-        for t in range(n):
-            R[rank, t] = R[rank, t] * inv % p
-        for row in range(m):
-            if row != rank and R[row, col]:
-                f = R[row, col]
-                for t in range(n):
-                    R[row, t] = (R[row, t] - f * R[rank, t]) % p
-        pivots[rank] = col
-        rank += 1
-        if rank == m:
-            break
-    return R, pivots[:rank]
-
-
-def _modp_rref_np(A, p):
-    R = A.copy()
-    m, n = R.shape
+    _check_modp(p, max(m, n))
     pivots = []
     rank = 0
     for col in range(n):
@@ -317,7 +128,7 @@ def _modp_rref_np(A, p):
         sel = rank + nz[0]
         if sel != rank:
             R[[rank, sel]] = R[[sel, rank]]
-        R[rank] = R[rank] * powmod(R[rank, col], p - 2, p) % p
+        R[rank] = R[rank] * pow(int(R[rank, col]), p - 2, p) % p
         mask = np.ones(m, dtype=bool)
         mask[rank] = False
         R[mask] = (R[mask] - np.outer(R[mask, col], R[rank])) % p
@@ -326,15 +137,6 @@ def _modp_rref_np(A, p):
         if rank == m:
             break
     return R, np.array(pivots, dtype=np.int64)
-
-
-def modp_rref(A, p):
-    """Row-reduce A mod p; returns (reduced matrix, pivot columns)."""
-    A = np.ascontiguousarray(A, dtype=np.int64) % p
-    _check_modp(p, max(A.shape))
-    if USE_NUMBA:
-        return _modp_rref_nb(A, p)
-    return _modp_rref_np(A, p)
 
 
 def modp_nullspace(A, p):
@@ -352,57 +154,13 @@ def modp_nullspace(A, p):
     return basis
 
 
-@njit(cache=True)
-def _modp_charpoly_nb(A, p):
+def modp_charpoly(A, p):
+    """Characteristic polynomial of A mod p, ascending coefficients, monic."""
+    A = np.ascontiguousarray(A, dtype=np.int64) % p
+    _check_modp(p, A.shape[0])
     n = A.shape[0]
-    H = A.copy() % p
+    H = [[int(v) for v in row] for row in A]
     # similarity reduction to upper Hessenberg
-    for j in range(n - 2):
-        sel = -1
-        for i in range(j + 1, n):
-            if H[i, j]:
-                sel = i
-                break
-        if sel < 0:
-            continue
-        if sel != j + 1:
-            for t in range(n):
-                H[j + 1, t], H[sel, t] = H[sel, t], H[j + 1, t]
-            for t in range(n):
-                H[t, j + 1], H[t, sel] = H[t, sel], H[t, j + 1]
-        inv = _powmod_nb(H[j + 1, j], p - 2, p)
-        for i in range(j + 2, n):
-            if H[i, j]:
-                f = H[i, j] * inv % p
-                for t in range(n):
-                    H[i, t] = (H[i, t] - f * H[j + 1, t]) % p
-                for t in range(n):
-                    H[t, j + 1] = (H[t, j + 1] + f * H[t, i]) % p
-    # charpoly recurrence over leading principal minors
-    polys = np.zeros((n + 1, n + 1), dtype=np.int64)
-    polys[0, 0] = 1
-    for k in range(1, n + 1):
-        # (x - H[k-1,k-1]) * polys[k-1]
-        for t in range(k):
-            polys[k, t + 1] = polys[k - 1, t]
-        hkk = H[k - 1, k - 1]
-        for t in range(k):
-            polys[k, t] = (polys[k, t] - hkk * polys[k - 1, t]) % p
-        run = 1
-        for m in range(k - 1, 0, -1):
-            run = run * H[m, m - 1] % p
-            if run == 0:
-                break
-            f = H[m - 1, k - 1] * run % p
-            if f:
-                for t in range(m):
-                    polys[k, t] = (polys[k, t] - f * polys[m - 1, t]) % p
-    return polys[n]
-
-
-def _modp_charpoly_np(A, p):
-    n = A.shape[0]
-    H = [[int(v) % p for v in row] for row in A]
     for j in range(n - 2):
         sel = next((i for i in range(j + 1, n) if H[i][j]), None)
         if sel is None:
@@ -411,7 +169,7 @@ def _modp_charpoly_np(A, p):
             H[j + 1], H[sel] = H[sel], H[j + 1]
             for row in H:
                 row[j + 1], row[sel] = row[sel], row[j + 1]
-        inv = powmod(H[j + 1][j], p - 2, p)
+        inv = pow(H[j + 1][j], p - 2, p)
         for i in range(j + 2, n):
             if H[i][j]:
                 f = H[i][j] * inv % p
@@ -419,6 +177,7 @@ def _modp_charpoly_np(A, p):
                     H[i][t] = (H[i][t] - f * H[j + 1][t]) % p
                 for t in range(n):
                     H[t][j + 1] = (H[t][j + 1] + f * H[t][i]) % p
+    # charpoly recurrence over leading principal minors
     polys = [[1]]
     for k in range(1, n + 1):
         cur = [0] + polys[k - 1]
@@ -438,68 +197,12 @@ def _modp_charpoly_np(A, p):
     return np.array(polys[n], dtype=np.int64)
 
 
-def modp_charpoly(A, p):
-    """Characteristic polynomial of A mod p, ascending coefficients, monic."""
-    A = np.ascontiguousarray(A, dtype=np.int64) % p
-    _check_modp(p, A.shape[0])
-    if USE_NUMBA:
-        return _modp_charpoly_nb(A, p)
-    return _modp_charpoly_np(A, p)
-
-
-@njit(cache=True)
-def _modp_poly_roots_nb(coeffs, p):
-    deg = coeffs.shape[0] - 1
-    roots = np.empty(deg, dtype=np.int64)
-    count = 0
-    for x in range(p):
-        acc = 0
-        for t in range(deg, -1, -1):
-            acc = (acc * x + coeffs[t]) % p
-        if acc == 0:
-            roots[count] = x
-            count += 1
-            if count == deg:
-                break
-    return roots[:count]
-
-
-def _modp_poly_roots_np(coeffs, p):
+def modp_poly_roots(coeffs, p):
+    """All roots in F_p of the given polynomial, ascending."""
+    coeffs = np.ascontiguousarray(coeffs, dtype=np.int64) % p
+    _check_modp(p, 1)
     xs = np.arange(p, dtype=np.int64)
     acc = np.zeros(p, dtype=np.int64)
     for t in range(len(coeffs) - 1, -1, -1):
         acc = (acc * xs + int(coeffs[t])) % p
     return xs[acc == 0]
-
-
-def modp_poly_roots(coeffs, p):
-    """All roots in F_p of the given polynomial, ascending."""
-    coeffs = np.ascontiguousarray(coeffs, dtype=np.int64) % p
-    _check_modp(p, 1)
-    if USE_NUMBA:
-        return _modp_poly_roots_nb(coeffs, p)
-    return _modp_poly_roots_np(coeffs, p)
-
-
-# Both implementations of each kernel, for cross-checks and benchmarks.
-IMPLS = {
-    "numpy": {
-        "lookup_rows": _lookup_rows_np,
-        "conjugacy_partition": _conjugacy_partition_np,
-        "class_constants": _class_constants_np,
-        "modp_matmul": _modp_matmul_np,
-        "modp_rref": _modp_rref_np,
-        "modp_charpoly": _modp_charpoly_np,
-        "modp_poly_roots": _modp_poly_roots_np,
-    },
-}
-if HAVE_NUMBA:
-    IMPLS["numba"] = {
-        "lookup_rows": _lookup_rows_nb,
-        "conjugacy_partition": _conjugacy_partition_nb,
-        "class_constants": _class_constants_nb,
-        "modp_matmul": _modp_matmul_nb,
-        "modp_rref": _modp_rref_nb,
-        "modp_charpoly": _modp_charpoly_nb,
-        "modp_poly_roots": _modp_poly_roots_nb,
-    }

@@ -193,7 +193,6 @@ def cmd_selftest(args) -> tuple[dict, int]:
         max_group=args.max_group or 24,
         max_order=args.max_order,
         genus_max=args.genus_max,
-        jobs=args.jobs,
         inject_mismatch=args.inject_mismatch,
     )
     code = 0 if results["ok"] else 2
@@ -214,8 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"character-table cache (default {default_cache_dir()})")
         p.add_argument("--max-group", type=int, default=None,
                        help="group order cap override")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="parallel workers for grid checks")
 
     p = sub.add_parser("chartable", help="exact character table of a group")
     common(p)

@@ -259,38 +259,38 @@ def trivial_group() -> PermGroup:
     return PermGroup(1, [], name="C1")
 
 
-def cyclic(n: int) -> PermGroup:
+def cyclic(n: int, *, cap: int = DEFAULT_CAP) -> PermGroup:
     if n < 1:
         raise ValueError("cyclic group needs n >= 1")
     if n == 1:
         return trivial_group()
     rot = tuple((i + 1) % n for i in range(n))
-    return PermGroup(n, [rot], name=f"C{n}")
+    return PermGroup(n, [rot], name=f"C{n}", cap=cap)
 
 
-def dihedral(n: int) -> PermGroup:
+def dihedral(n: int, *, cap: int = DEFAULT_CAP) -> PermGroup:
     """Symmetries of the n-gon, order 2n (n >= 1; D1 = C2)."""
     if n < 1:
         raise ValueError("dihedral group needs n >= 1")
     if n == 1:
-        return PermGroup(2, [(1, 0)], name="D1")
+        return PermGroup(2, [(1, 0)], name="D1", cap=cap)
     rot = tuple((i + 1) % n for i in range(n))
     refl = tuple((n - i) % n for i in range(n))
-    return PermGroup(n, [rot, refl], name=f"D{n}")
+    return PermGroup(n, [rot, refl], name=f"D{n}", cap=cap)
 
 
-def symmetric(n: int) -> PermGroup:
+def symmetric(n: int, *, cap: int = DEFAULT_CAP) -> PermGroup:
     if n < 1:
         raise ValueError("symmetric group needs n >= 1")
     if n == 1:
-        return PermGroup(1, [], name="S1")
+        return PermGroup(1, [], name="S1", cap=cap)
     gens = [(1, 0) + tuple(range(2, n))]
     if n > 2:
         gens.append(tuple((i + 1) % n for i in range(n)))
-    return PermGroup(n, gens, name=f"S{n}")
+    return PermGroup(n, gens, name=f"S{n}", cap=cap)
 
 
-def alternating(n: int) -> PermGroup:
+def alternating(n: int, *, cap: int = DEFAULT_CAP) -> PermGroup:
     if n < 3:
         raise ValueError("alternating group needs n >= 3")
     three = (1, 2, 0) + tuple(range(3, n))
@@ -300,14 +300,14 @@ def alternating(n: int) -> PermGroup:
         gens = [three, tuple((i + 1) % n for i in range(n))]
     else:
         gens = [three, (0,) + tuple(1 + (i + 1) % (n - 1) for i in range(n - 1))]
-    return PermGroup(n, gens, name=f"A{n}")
+    return PermGroup(n, gens, name=f"A{n}", cap=cap)
 
 
-def quaternion() -> PermGroup:
+def quaternion(*, cap: int = DEFAULT_CAP) -> PermGroup:
     """Q8 in its regular degree-8 permutation model."""
     a = (1, 2, 3, 0, 5, 6, 7, 4)          # left multiplication by i
     b = (4, 7, 6, 5, 2, 1, 0, 3)          # left multiplication by j
-    return PermGroup(8, [a, b], name="Q8")
+    return PermGroup(8, [a, b], name="Q8", cap=cap)
 
 
 def group_from_json(spec, cap: int = DEFAULT_CAP) -> PermGroup:
@@ -315,7 +315,7 @@ def group_from_json(spec, cap: int = DEFAULT_CAP) -> PermGroup:
 
     {"type":"permutation","degree":3,"generators":[[2,1,3],[2,3,1]],"name":"S3"}
     (one-line image notation, 1-indexed), or catalog shorthands:
-    {"type":"cyclic","order":7}, {"type":"dihedral","n":4},
+    {"type":"cyclic","order":7}, {"type":"dihedral","n":4} (or "order":8),
     {"type":"symmetric","n":4}, {"type":"alternating","n":5},
     {"type":"quaternion"}, {"type":"trivial"}.
     """
@@ -332,18 +332,33 @@ def group_from_json(spec, cap: int = DEFAULT_CAP) -> PermGroup:
                 raise ValueError(f"bad one-line image list {spec['generators']}")
         return PermGroup(degree, gens, name=spec.get("name"), cap=cap)
     if kind == "cyclic":
-        return cyclic(int(spec["order"]))
+        return cyclic(int(spec["order"]), cap=cap)
     if kind == "dihedral":
-        return dihedral(int(spec.get("n") or spec["order"] // 2))
+        return dihedral(_dihedral_n(spec), cap=cap)
     if kind == "symmetric":
-        return symmetric(int(spec["n"]))
+        return symmetric(int(spec["n"]), cap=cap)
     if kind == "alternating":
-        return alternating(int(spec["n"]))
+        return alternating(int(spec["n"]), cap=cap)
     if kind == "quaternion":
-        return quaternion()
+        return quaternion(cap=cap)
     if kind == "trivial":
         return trivial_group()
     raise ValueError(f"unknown group type {kind!r}")
+
+
+def _dihedral_n(spec: dict) -> int:
+    # D_n has order 2n: an odd order, or an n that disagrees with the order,
+    # names no dihedral group; a null field counts as absent
+    n, order = spec.get("n"), spec.get("order")
+    if n is None:
+        order = int(spec["order"])
+        if order % 2:
+            raise ValueError(f"dihedral group order must be even, got {order}")
+        return order // 2
+    n = int(n)
+    if order is not None and int(order) != 2 * n:
+        raise ValueError(f"dihedral n={n} has order {2 * n}, not {order}")
+    return n
 
 
 def catalog(max_cyclic: int = 12) -> list[PermGroup]:

@@ -66,24 +66,13 @@ def _twisted_value_table(v: ClassFunction, sector: BGSector) -> list[list[Cyclot
     return table
 
 
-def eigenspace_character(v: ClassFunction, sector: BGSector, j: int) -> ClassFunction:
-    """Character of the zeta_m^j-eigenspace of v as a Z_h-representation.
-
-    g -> (1/m) sum_i zeta_m^{-ij} v(h^i g), located through the class fusion
-    of Z_h into the ambient group.
-    """
-    m = sector.order
-    table = _twisted_value_table(v, sector)
-    scale = rational(Fraction(1, m))
-    vals = [
-        weighted_root_sum(m, ((-i * j, table[i][c]) for i in range(m))) * scale
-        for c in range(len(table[0]))
-    ]
-    return ClassFunction(sector.sector_group, vals)
-
-
 def eigenspace_characters(v: ClassFunction, sector: BGSector) -> list[ClassFunction]:
-    """All m eigenspace characters from one pass over the twisted values."""
+    """Characters of the zeta_m^j-eigenspaces of v as Z_h-representations.
+
+    Entry j is g -> (1/m) sum_i zeta_m^{-ij} v(h^i g), located through the
+    class fusion of Z_h into the ambient group; all m come from one pass over
+    the twisted values.
+    """
     m = sector.order
     table = _twisted_value_table(v, sector)
     scale = rational(Fraction(1, m))

@@ -8,7 +8,6 @@ one character value before checking, to exercise the failure path end to end.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
@@ -202,7 +201,7 @@ def _check_one_curve(curve: StackyCurve, degrees: range) -> tuple[int, int]:
 
 
 def check_curve_hrr(genus_max: int = 2, max_order: int = 8, max_points: int = 3,
-                    degrees: range = range(-3, 4), jobs: int = 1) -> CheckResult:
+                    degrees: range = range(-3, 4)) -> CheckResult:
     curves = []
     for g in range(genus_max + 1):
         for r in range(max_points + 1):
@@ -211,17 +210,10 @@ def check_curve_hrr(genus_max: int = 2, max_order: int = 8, max_points: int = 3,
                 pts = tuple((f"x{i+1}", n) for i, n in enumerate(orders))
                 curves.append(StackyCurve(g, pts))
     instances = failures = 0
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for inst, fail in pool.map(
-                    lambda c: _check_one_curve(c, degrees), curves):
-                instances += inst
-                failures += fail
-    else:
-        for c in curves:
-            inst, fail = _check_one_curve(c, degrees)
-            instances += inst
-            failures += fail
+    for c in curves:
+        inst, fail = _check_one_curve(c, degrees)
+        instances += inst
+        failures += fail
     return CheckResult("curve_hrr", instances, failures, failures == 0,
                        note=f"{len(curves)} curves")
 
@@ -272,14 +264,14 @@ def check_obstruction(groups: list[PermGroup]) -> CheckResult:
 
 
 def run_selftest(max_group: int = 24, max_order: int = 8, genus_max: int = 2,
-                 jobs: int = 1, inject_mismatch: bool = False) -> dict:
+                 inject_mismatch: bool = False) -> dict:
     groups = [G for G in catalog() if G.order <= max_group]
     results = [
         check_char_tables(groups, inject_mismatch=inject_mismatch),
         check_bg_hrr(groups),
         check_rho_projector(groups),
         check_lambda_matrix(),
-        check_curve_hrr(genus_max=genus_max, max_order=max_order, jobs=jobs),
+        check_curve_hrr(genus_max=genus_max, max_order=max_order),
         check_orbifold_point(),
         check_esum(),
         check_obstruction(groups),

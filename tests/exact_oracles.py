@@ -1,6 +1,6 @@
 """Independent oracles for the test suite.
 
-Nothing here reuses the package's class machinery, mod-p path, or numba
+Nothing here reuses the package's class machinery, mod-p path, or integer
 kernels: conjugacy data is recomputed by plain dictionary brute force, the
 reference character tables come either from the closed cyclic-group formula
 or from simultaneous eigenspace splitting over an exact cyclotomic field

@@ -40,7 +40,7 @@ def report(number: int, description: str, ok: bool, extra: str = ""):
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels():
-    # compile the jit kernels outside any timed region
+    # pay first-call costs (imports, table construction) outside any timed region
     character_table(cyclic(2))
 
 

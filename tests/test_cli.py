@@ -92,6 +92,15 @@ class TestInputHandling:
     def test_unknown_group_type(self, capsys):
         assert main(["chartable", "--group", '{"type":"wreath"}']) == 1
 
+    def test_shorthand_above_cap(self, capsys):
+        # the same cap as for permutation generators, with no table printed
+        argv = ["chartable", "--group", '{"type":"symmetric","n":5}',
+                "--max-group", "10"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exceeds cap 10" in captured.err
+
     def test_missing_file(self, capsys):
         assert main(["euler", "--curve", "no/such/file.json"]) == 1
 

@@ -165,6 +165,10 @@ class TestJson:
     def test_shorthands(self):
         assert group_from_json({"type": "cyclic", "order": 7}).order == 7
         assert group_from_json({"type": "dihedral", "n": 4}).order == 8
+        assert group_from_json({"type": "dihedral", "order": 8}).order == 8
+        assert group_from_json({"type": "dihedral", "n": 4, "order": 8}).order == 8
+        assert group_from_json({"type": "dihedral", "n": None, "order": 8}).order == 8
+        assert group_from_json({"type": "dihedral", "n": 4, "order": None}).order == 8
         assert group_from_json({"type": "symmetric", "n": 4}).order == 24
         assert group_from_json({"type": "alternating", "n": 5}).order == 60
         assert group_from_json({"type": "quaternion"}).order == 8
@@ -178,6 +182,20 @@ class TestJson:
         with pytest.raises(ValueError):
             group_from_json(
                 {"type": "permutation", "degree": 3, "generators": [[1, 1, 2]]})
+        # D_n has order 2n: no odd order, no n that disagrees with the order
+        with pytest.raises(ValueError, match="even"):
+            group_from_json({"type": "dihedral", "order": 7})
+        with pytest.raises(ValueError, match="order 6, not 8"):
+            group_from_json({"type": "dihedral", "n": 3, "order": 8})
+        with pytest.raises(ValueError, match="even"):
+            group_from_json({"type": "dihedral", "n": None, "order": 7})
+
+    def test_shorthands_respect_cap(self):
+        for spec in ({"type": "cyclic", "order": 11}, {"type": "dihedral", "n": 6},
+                     {"type": "symmetric", "n": 4},
+                     {"type": "alternating", "n": 4}, {"type": "quaternion"}):
+            with pytest.raises(GroupCapExceeded):
+                group_from_json(spec, cap=7)
 
 
 def test_cycle_string():

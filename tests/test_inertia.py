@@ -4,8 +4,8 @@ from fractions import Fraction
 from orbirr.exact import rational, root_of_unity
 from orbirr.groups import cyclic, pmul, quaternion, symmetric, trivial_group
 from orbirr.inertia import (curve_sectors, decompose_on_inertia,
-                            eigenspace_character, eigenspace_characters,
-                            inertia_of_bg, rho_twist, twisted_closed_form)
+                            eigenspace_characters, inertia_of_bg, rho_twist,
+                            twisted_closed_form)
 from orbirr.curves import StackyCurve
 from orbirr.repring import (inner_product, irreducibles,
                             regular_character, tensor, trivial_character)
@@ -42,14 +42,14 @@ class TestEigenspaces:
         G = symmetric(3)
         sector = inertia_of_bg(G)[0]
         for v in irreducibles(G):
-            eig0 = eigenspace_character(v, sector, 0)
+            eig0 = eigenspace_characters(v, sector)[0]
             assert eig0.values == v.values
 
     def test_c2_regular_split(self):
         G = cyclic(2)
         sector = inertia_of_bg(G)[1]
         reg = regular_character(G)
-        dims = [eigenspace_character(reg, sector, j).dim() for j in range(2)]
+        dims = [eigenspace_characters(reg, sector)[j].dim() for j in range(2)]
         assert dims == [Fraction(1), Fraction(1)]
 
     def test_dimension_sum(self, small_catalog):
