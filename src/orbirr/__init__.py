@@ -19,8 +19,8 @@ from .exact import (Cyclotomic, conductor_cap, format_cyclotomic,
 from .groups import (ConjClass, PermGroup, alternating, catalog, cyclic,
                      dihedral, group_from_json, quaternion, symmetric,
                      trivial_group)
-from .inertia import (BGSector, CurveSector, curve_sectors,
-                      decompose_on_inertia, inertia_of_bg, rho_twist)
+from .inertia import (BGSector, CurveSector, curve_sectors, inertia_of_bg,
+                      rho_twist)
 from .repring import (ClassFunction, VirtualRep, exterior_power, inner_product,
                       invariants_dim, irreducible, irreducibles,
                       lambda_minus_one, permutation_character,

@@ -150,7 +150,7 @@ def _split_eigenrows(mats: list[np.ndarray], p: int, r: int) -> list[np.ndarray]
     return [S[0] for S, _ in spaces]
 
 
-def character_table(G: PermGroup, validate: bool = True) -> CharacterTable:
+def character_table(G: PermGroup) -> CharacterTable:
     """Exact character table of G, deterministic row and column order."""
     if G._char_table is not None:
         return G._char_table
@@ -198,11 +198,10 @@ def character_table(G: PermGroup, validate: bool = True) -> CharacterTable:
         degrees=tuple(d for d, _ in rows),
         prime=p,
     )
-    if validate:
-        if sum(d * d for d in table.degrees) != order:
-            raise TableComputationError("sum of squared degrees != |G|")
-        if not verify_orthogonality(table):
-            raise TableComputationError("orthogonality check failed after lift")
+    if sum(d * d for d in table.degrees) != order:
+        raise TableComputationError("sum of squared degrees != |G|")
+    if not verify_orthogonality(table):
+        raise TableComputationError("orthogonality check failed after lift")
     G._char_table = table
     return table
 

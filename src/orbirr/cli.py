@@ -68,12 +68,27 @@ def _emit(report: dict, out: str | None) -> None:
         print(text)
 
 
+def _max_group(args, default: int) -> int:
+    # absent means the command's default; a value below 1 is an input error,
+    # not a silent fallback to that default
+    if args.max_group is None:
+        return default
+    if args.max_group < 1:
+        raise InputError(f"--max-group must be at least 1, got {args.max_group}")
+    return args.max_group
+
+
+def _group(args):
+    return group_from_json(_load_spec(args.group),
+                           cap=_max_group(args, DEFAULT_CAP))
+
+
 def _group_report(G) -> dict:
     return {"name": G.name, "degree": G.degree, "order": G.order}
 
 
 def cmd_chartable(args) -> tuple[dict, int]:
-    G = group_from_json(_load_spec(args.group), cap=args.max_group or DEFAULT_CAP)
+    G = _group(args)
     table = cache_get_or_compute(G, args.cache_dir)
     classes = [
         {
@@ -96,7 +111,7 @@ def cmd_chartable(args) -> tuple[dict, int]:
 
 
 def cmd_hrr_bg(args) -> tuple[dict, int]:
-    G = group_from_json(_load_spec(args.group), cap=args.max_group or DEFAULT_CAP)
+    G = _group(args)
     cache_get_or_compute(G, args.cache_dir)
     spec = _load_spec(args.rep)
     v = rep_from_json(G, spec)
@@ -165,7 +180,7 @@ def cmd_euler(args) -> tuple[dict, int]:
 
 
 def cmd_obstruction(args) -> tuple[dict, int]:
-    G = group_from_json(_load_spec(args.group), cap=args.max_group or DEFAULT_CAP)
+    G = _group(args)
     cache_get_or_compute(G, args.cache_dir)
     w = etale_obstruction_witness(G)
     if w is None:
@@ -190,7 +205,7 @@ def cmd_obstruction(args) -> tuple[dict, int]:
 
 def cmd_selftest(args) -> tuple[dict, int]:
     results = run_selftest(
-        max_group=args.max_group or 24,
+        max_group=_max_group(args, 24),
         max_order=args.max_order,
         genus_max=args.genus_max,
         inject_mismatch=args.inject_mismatch,

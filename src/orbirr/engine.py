@@ -31,10 +31,9 @@ class HrrBgReport:
     verdict: str  # "equal" | "mismatch"
 
 
-def hrr_bg_lhs(G: PermGroup, v: ClassFunction, *, actual: bool = True) -> Fraction:
+def hrr_bg_lhs(G: PermGroup, v: ClassFunction) -> Fraction:
     """dim V^G: the Euler characteristic of V on BG."""
-    if actual:
-        assert_actual(v, "hrr_bg_lhs")
+    assert_actual(v, "hrr_bg_lhs")
     return invariants_dim(v)
 
 
@@ -62,8 +61,8 @@ def hrr_bg_rhs(G: PermGroup, v: ClassFunction,
 
 
 def verify_hrr_bg(G: PermGroup, v: ClassFunction,
-                  descriptor: str = "", *, actual: bool = True) -> HrrBgReport:
-    lhs = hrr_bg_lhs(G, v, actual=actual)
+                  descriptor: str = "") -> HrrBgReport:
+    lhs = hrr_bg_lhs(G, v)
     rhs, per_sector = hrr_bg_rhs(G, v)
     return HrrBgReport(
         group_name=G.name,

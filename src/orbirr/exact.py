@@ -377,23 +377,10 @@ def _poly_xgcd_inverse(a: list[Fraction], mod: list) -> list[Fraction]:
             p.pop()
         return p
 
-    def polymod(p, q):
-        p = list(p)
-        dq = len(q) - 1
-        lead = q[-1]
-        while len(p) - 1 >= dq and trim(p):
-            c = p[-1] / lead
-            off = len(p) - 1 - dq
-            for i, qi in enumerate(q):
-                p[off + i] -= c * qi
-            trim(p)
-        return p
-
     r0, r1 = mod, trim(list(a))
     s0, s1 = [], [Fraction(1)]
     while True:
         # r0 = q*r1 + r2 with deg r2 < deg r1
-        q = []
         r2 = list(r0)
         dq = len(r1) - 1
         lead = r1[-1]

@@ -325,20 +325,20 @@ def group_from_json(spec, cap: int = DEFAULT_CAP) -> PermGroup:
         raise ValueError("group description must be an object with a 'type'")
     kind = spec["type"]
     if kind == "permutation":
-        degree = int(spec["degree"])
+        degree = _int_field(spec, kind, "degree")
         gens = [tuple(int(v) - 1 for v in g) for g in spec["generators"]]
         for g in gens:
             if sorted(g) != list(range(degree)):
                 raise ValueError(f"bad one-line image list {spec['generators']}")
         return PermGroup(degree, gens, name=spec.get("name"), cap=cap)
     if kind == "cyclic":
-        return cyclic(int(spec["order"]), cap=cap)
+        return cyclic(_int_field(spec, kind, "order"), cap=cap)
     if kind == "dihedral":
         return dihedral(_dihedral_n(spec), cap=cap)
     if kind == "symmetric":
-        return symmetric(int(spec["n"]), cap=cap)
+        return symmetric(_int_field(spec, kind, "n"), cap=cap)
     if kind == "alternating":
-        return alternating(int(spec["n"]), cap=cap)
+        return alternating(_int_field(spec, kind, "n"), cap=cap)
     if kind == "quaternion":
         return quaternion(cap=cap)
     if kind == "trivial":
@@ -346,24 +346,40 @@ def group_from_json(spec, cap: int = DEFAULT_CAP) -> PermGroup:
     raise ValueError(f"unknown group type {kind!r}")
 
 
-def _dihedral_n(spec: dict) -> int:
-    # D_n has order 2n: an odd order, or an n that disagrees with the order,
-    # names no dihedral group; a null field counts as absent
-    n, order = spec.get("n"), spec.get("order")
-    if n is None:
-        order = int(spec["order"])
-        if order % 2:
-            raise ValueError(f"dihedral group order must be even, got {order}")
-        return order // 2
-    n = int(n)
-    if order is not None and int(order) != 2 * n:
-        raise ValueError(f"dihedral n={n} has order {2 * n}, not {order}")
+def _int_field(spec: dict, kind: str, field: str) -> int:
+    # a missing, null, boolean, non-numeric or fractional field is an input
+    # error naming the group type and the field
+    value = spec.get(field)
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if (n is None or isinstance(value, bool)
+            or (isinstance(value, float) and value != n)):
+        raise ValueError(f"{kind} group needs an integer {field!r}, "
+                         f"got {json.dumps(value)}")
     return n
 
 
-def catalog(max_cyclic: int = 12) -> list[PermGroup]:
+def _dihedral_n(spec: dict) -> int:
+    # D_n has order 2n: an odd order, or an n that disagrees with the order,
+    # names no dihedral group; a null field counts as absent
+    if spec.get("n") is None:
+        order = _int_field(spec, "dihedral", "order")
+        if order % 2:
+            raise ValueError(f"dihedral group order must be even, got {order}")
+        return order // 2
+    n = _int_field(spec, "dihedral", "n")
+    if spec.get("order") is not None:
+        order = _int_field(spec, "dihedral", "order")
+        if order != 2 * n:
+            raise ValueError(f"dihedral n={n} has order {2 * n}, not {order}")
+    return n
+
+
+def catalog() -> list[PermGroup]:
     """The acceptance catalog: C_n (n <= 12), S3, S4, A4, D4, D6, Q8."""
-    groups = [cyclic(n) for n in range(1, max_cyclic + 1)]
+    groups = [cyclic(n) for n in range(1, 13)]
     groups += [symmetric(3), symmetric(4), alternating(4),
                dihedral(4), dihedral(6), quaternion()]
     return groups

@@ -107,15 +107,6 @@ def twisted_closed_form(v: ClassFunction, sector: BGSector) -> ClassFunction:
                          else table[0])
 
 
-def decompose_on_inertia(v: ClassFunction,
-                         sectors: list[BGSector] | None = None
-                         ) -> list[tuple[BGSector, ClassFunction]]:
-    """Per-sector twists of v over the inertia of BG (linear in v)."""
-    if sectors is None:
-        sectors = inertia_of_bg(v.group)
-    return [(s, rho_twist(v, s)) for s in sectors]
-
-
 # -- stacky curves -------------------------------------------------------------
 
 

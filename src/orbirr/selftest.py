@@ -1,5 +1,25 @@
 """Self-contained verification grids behind the `selftest` CLI command.
 
+Each check calls the public functions it names and compares them with an
+independent route:
+
+- char_tables: `character_table` against orthogonality, sum d^2 = |G|,
+  d | |G| and the regular character sum_i d_i chi_i;
+- bg_hrr: `verify_hrr_bg`, dim V^G against the inertia sum, for every
+  irreducible, the regular and the permutation character;
+- rho_projector: `rho_twist(v, s)` against `twisted_closed_form(v, s)`
+  (g -> v(hg)) and the eigenspace dimensions of `eigenspace_characters`
+  against dim v, on every (sector, irreducible); then multiplicativity of
+  `rho_twist` on 50 random tensor pairs;
+- lambda_matrix: every `exterior_power` lambda^k(chi), 0 <= k <= degree, of
+  the permutation character, and `lambda_minus_one(chi)`, against the
+  coefficients and the value at t = -1 of det(1 + tP), read off the cycle
+  type of each class representative; lambda^(degree+1) must vanish;
+- curve_hrr: `hrr_integral` against the coarse oracle on a grid of stacky
+  curves and Q-divisors, and `euler_orb` against `tangent_degree`;
+- orbifold_237, esum, obstruction: closed forms for the (2,3,7) orbifold,
+  sum_k 1/(1 - zeta_n^-k) = (n-1)/2, and the etale obstruction witness.
+
 Every check is an exact identity; a single counterexample marks the whole
 check failed and the CLI exits 2.  `inject_mismatch` deliberately perturbs
 one character value before checking, to exercise the failure path end to end.
@@ -17,12 +37,12 @@ from .curves import (StackyCurve, euler_char_oracle, euler_orb, euler_phy,
                      gauss_bonnet_coarse, hrr_integral, q_divisor,
                      tangent_degree)
 from .engine import etale_obstruction_witness, verify_hrr_bg
-from .exact import rational, root_of_unity, weighted_root_sum
+from .exact import rational, root_of_unity
 from .groups import PermGroup, alternating, catalog
 from .inertia import (eigenspace_characters, inertia_of_bg, rho_twist,
                       twisted_closed_form)
 from .repring import (ClassFunction, exterior_power, irreducible,
-                      lambda_minus_one, permutation_character,
+                      irreducibles, lambda_minus_one, permutation_character,
                       regular_character, tensor)
 
 
@@ -33,33 +53,6 @@ class CheckResult:
     failures: int
     ok: bool
     note: str = ""
-
-
-def _det_fraction(mat: list[list[Fraction]]) -> Fraction:
-    # plain fraction-valued Gaussian elimination; matrices here are tiny
-    n = len(mat)
-    m = [row[:] for row in mat]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = Fraction(1) / m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] * inv
-            if f:
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return det
-
-
-def _perm_matrix(perm) -> list[list[Fraction]]:
-    n = len(perm)
-    return [[Fraction(1 if perm[j] == i else 0) for j in range(n)]
-            for i in range(n)]
 
 
 def check_char_tables(groups: list[PermGroup], inject_mismatch: bool = False
@@ -105,51 +98,56 @@ def check_bg_hrr(groups: list[PermGroup]) -> CheckResult:
                        note=f"{instances} identities")
 
 
-def check_rho_projector(groups: list[PermGroup], pairs: int = 50) -> CheckResult:
+def check_rho_projector(groups: list[PermGroup]) -> CheckResult:
     instances = failures = 0
+    sectors_of = {}
+    twists = {}  # (group name, sector index, irreducible index) -> rho_twist
     for G in groups:
-        sectors = inertia_of_bg(G)
-        n_irr = len(character_table(G).rows)
-        for sector in sectors:
-            m = sector.order
-            for i in range(n_irr):
-                v = irreducible(G, i)
+        sectors_of[G.name] = sectors = inertia_of_bg(G)
+        irreps = irreducibles(G)
+        for s_idx, sector in enumerate(sectors):
+            for i, v in enumerate(irreps):
                 instances += 2
-                eigs = eigenspace_characters(v, sector)
-                rho = ClassFunction(sector.sector_group, [
-                    weighted_root_sum(m, ((j, eigs[j].values[c])
-                                          for j in range(m)))
-                    for c in range(len(eigs[0].values))
-                ])
+                twists[G.name, s_idx, i] = rho = rho_twist(v, sector)
                 if rho != twisted_closed_form(v, sector):
                     failures += 1
-                dims = sum((e.dim() for e in eigs), start=Fraction(0))
+                dims = sum((e.dim() for e in eigenspace_characters(v, sector)),
+                           start=Fraction(0))
                 if dims != v.dim():
                     failures += 1
     # multiplicativity of the inertia decomposition on random tensor pairs
     rng = random.Random(2024)
     pool = [G for G in groups if G.order > 1]
-    sector_cache = {}
-    twist_cache = {}
-    for _ in range(pairs):
+    for _ in range(50 if pool else 0):
         G = rng.choice(pool)
-        if G.name not in sector_cache:
-            sector_cache[G.name] = inertia_of_bg(G)
         n_irr = len(character_table(G).rows)
         ia, ib = rng.randrange(n_irr), rng.randrange(n_irr)
-        a, b = irreducible(G, ia), irreducible(G, ib)
-        ab = tensor(a, b)
-        for s_idx, sector in enumerate(sector_cache[G.name]):
+        ab = tensor(irreducible(G, ia), irreducible(G, ib))
+        for s_idx, sector in enumerate(sectors_of[G.name]):
             instances += 1
-            for key, v in [((G.name, s_idx, ia), a), ((G.name, s_idx, ib), b)]:
-                if key not in twist_cache:
-                    twist_cache[key] = rho_twist(v, sector)
-            lhs = rho_twist(ab, sector)
-            rhs = tensor(twist_cache[(G.name, s_idx, ia)],
-                         twist_cache[(G.name, s_idx, ib)])
-            if lhs != rhs:
+            if rho_twist(ab, sector) != tensor(twists[G.name, s_idx, ia],
+                                               twists[G.name, s_idx, ib]):
                 failures += 1
     return CheckResult("rho_projector", instances, failures, failures == 0)
+
+
+def _det_one_plus_tp(perm) -> list[int]:
+    # det(1 + tP) for the permutation matrix P of perm: the product over the
+    # cycles c of perm of (1 - (-t)^|c|); coefficient k is the trace of P on
+    # the k-th exterior power
+    coeffs = [1]
+    seen = [False] * len(perm)
+    for start in range(len(perm)):
+        length, x = 0, start
+        while not seen[x]:
+            seen[x] = True
+            x = perm[x]
+            length += 1
+        if length:
+            sign = -(-1) ** length
+            coeffs = [a + sign * b for a, b in
+                      zip(coeffs + [0] * length, [0] * length + coeffs)]
+    return coeffs
 
 
 def check_lambda_matrix() -> CheckResult:
@@ -160,60 +158,45 @@ def check_lambda_matrix() -> CheckResult:
     groups += [cyclic(n) for n in range(1, 9)]
     for G in groups:
         chi = permutation_character(G)
+        lams = [exterior_power(chi, k) for k in range(G.degree + 2)]
         lam = lambda_minus_one(chi)
         for cls_idx, cls in enumerate(G.conjugacy_classes()):
-            m = _perm_matrix(cls.representative)
-            n = len(m)
-            id_minus = [[Fraction(1 if i == j else 0) - m[i][j]
-                         for j in range(n)] for i in range(n)]
+            poly = _det_one_plus_tp(cls.representative)
+            at_minus_one = sum(c * (-1) ** k for k, c in enumerate(poly))
             instances += 1
-            if lam.values[cls_idx] != rational(_det_fraction(id_minus)):
+            if ([lk.values[cls_idx] for lk in lams[:-1]]
+                    != [rational(c) for c in poly]
+                    or lam.values[cls_idx] != rational(at_minus_one)):
                 failures += 1
         # lambda^k vanishes above the dimension
-        above = exterior_power(chi, G.degree + 1)
         instances += 1
-        if any(not v.is_zero() for v in above.values):
+        if any(not v.is_zero() for v in lams[-1].values):
             failures += 1
     return CheckResult("lambda_matrix", instances, failures, failures == 0)
 
 
-def _curve_instances(curve: StackyCurve, degrees: range):
-    orders = [n for _, n in curve.points]
-    labels = [lab for lab, _ in curve.points]
-    for d in degrees:
-        for weights in product(*[range(n) for n in orders]):
-            yield q_divisor(curve, d, dict(zip(labels, weights)))
-
-
-def _check_one_curve(curve: StackyCurve, degrees: range) -> tuple[int, int]:
-    instances = failures = 0
-    if euler_orb(curve) != tangent_degree(curve):
-        failures += 1
-    instances += 1
-    for div in _curve_instances(curve, degrees):
-        instances += 1
-        try:
-            if hrr_integral(curve, div) != euler_char_oracle(curve, div):
-                failures += 1
-        except Exception:
-            failures += 1
-    return instances, failures
-
-
-def check_curve_hrr(genus_max: int = 2, max_order: int = 8, max_points: int = 3,
-                    degrees: range = range(-3, 4)) -> CheckResult:
-    curves = []
-    for g in range(genus_max + 1):
-        for r in range(max_points + 1):
-            for orders in combinations_with_replacement(
-                    range(2, max_order + 1), r):
-                pts = tuple((f"x{i+1}", n) for i, n in enumerate(orders))
-                curves.append(StackyCurve(g, pts))
+def check_curve_hrr(genus_max: int = 2, max_order: int = 8) -> CheckResult:
+    # every genus <= genus_max with at most three stacky points of order
+    # <= max_order, against every Q-divisor of free degree -3..3
+    curves = [StackyCurve(g, tuple((f"x{i+1}", n) for i, n in enumerate(orders)))
+              for g in range(genus_max + 1) for r in range(4)
+              for orders in combinations_with_replacement(
+                  range(2, max_order + 1), r)]
     instances = failures = 0
     for c in curves:
-        inst, fail = _check_one_curve(c, degrees)
-        instances += inst
-        failures += fail
+        instances += 1
+        if euler_orb(c) != tangent_degree(c):
+            failures += 1
+        labels = [lab for lab, _ in c.points]
+        for d in range(-3, 4):
+            for weights in product(*[range(n) for _, n in c.points]):
+                div = q_divisor(c, d, dict(zip(labels, weights)))
+                instances += 1
+                try:
+                    if hrr_integral(c, div) != euler_char_oracle(c, div):
+                        failures += 1
+                except Exception:
+                    failures += 1
     return CheckResult("curve_hrr", instances, failures, failures == 0,
                        note=f"{len(curves)} curves")
 

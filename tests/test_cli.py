@@ -101,6 +101,25 @@ class TestInputHandling:
         assert captured.out == ""
         assert "exceeds cap 10" in captured.err
 
+    def test_max_group_below_one(self, capsys):
+        # an explicit cap below 1 is an input error, not "no override"
+        for value in ("0", "-3"):
+            for argv in (["chartable", "--group", '{"type":"cyclic","order":5}'],
+                         ["obstruction", "--group", '{"type":"cyclic","order":5}'],
+                         ["selftest", "--max-order", "2", "--genus-max", "0"]):
+                assert main(argv + ["--max-group", value]) == 1
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert f"--max-group must be at least 1, got {value}" in captured.err
+
+    def test_null_group_field(self, capsys):
+        for spec in ('{"type":"cyclic","order":null}', '{"type":"symmetric","n":null}',
+                     '{"type":"dihedral"}'):
+            assert main(["chartable", "--group", spec]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "group needs an integer" in captured.err
+
     def test_missing_file(self, capsys):
         assert main(["euler", "--curve", "no/such/file.json"]) == 1
 
@@ -178,6 +197,13 @@ class TestSelftestCommand:
         code2, rep2 = run_cli(capsys, *argv)
         assert code1 == code2 == 0
         assert strip_timing(rep1) == strip_timing(rep2)
+
+    def test_smallest_cap(self, capsys):
+        # --max-group 1 keeps only the trivial group, which has no tensor pairs
+        code, rep = run_cli(capsys, "selftest", "--max-group", "1",
+                            "--max-order", "2", "--genus-max", "0")
+        assert code == 0
+        assert rep["verdicts"]["rho_projector"] == "equal"
 
     def test_injected_mismatch_exits_2(self, capsys):
         code, rep = run_cli(capsys, "selftest", "--max-group", "6",

@@ -189,6 +189,23 @@ class TestJson:
             group_from_json({"type": "dihedral", "n": 3, "order": 8})
         with pytest.raises(ValueError, match="even"):
             group_from_json({"type": "dihedral", "n": None, "order": 7})
+        # a missing, null or non-integer number names the group type and field
+        for spec, msg in [
+                ({"type": "cyclic", "order": None}, "cyclic group .* 'order'"),
+                ({"type": "cyclic", "order": 7.5}, "cyclic group .* 'order'"),
+                ({"type": "cyclic", "order": True}, "cyclic group .* 'order'"),
+                ({"type": "symmetric", "n": None}, "symmetric group .* 'n'"),
+                ({"type": "alternating", "n": "five"},
+                 "alternating group .* 'n'"),
+                ({"type": "dihedral"}, "dihedral group .* 'order'"),
+                ({"type": "dihedral", "n": 4, "order": []},
+                 "dihedral group .* 'order'"),
+                ({"type": "permutation", "generators": []},
+                 "permutation group .* 'degree'")]:
+            with pytest.raises(ValueError, match=msg):
+                group_from_json(spec)
+        assert group_from_json(
+            {"type": "dihedral", "n": None, "order": 8}).name == "D4"
 
     def test_shorthands_respect_cap(self):
         for spec in ({"type": "cyclic", "order": 11}, {"type": "dihedral", "n": 6},

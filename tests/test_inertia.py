@@ -3,9 +3,8 @@ from fractions import Fraction
 
 from orbirr.exact import rational, root_of_unity
 from orbirr.groups import cyclic, pmul, quaternion, symmetric, trivial_group
-from orbirr.inertia import (curve_sectors, decompose_on_inertia,
-                            eigenspace_characters, inertia_of_bg, rho_twist,
-                            twisted_closed_form)
+from orbirr.inertia import (curve_sectors, eigenspace_characters,
+                            inertia_of_bg, rho_twist, twisted_closed_form)
 from orbirr.curves import StackyCurve
 from orbirr.repring import (inner_product, irreducibles,
                             regular_character, tensor, trivial_character)
@@ -112,9 +111,12 @@ class TestRhoTwist:
 
 
 class TestDecomposeOnInertia:
+    # the per-sector twists [(s, rho_twist(v, s)) for s in inertia_of_bg(G)]
     def test_trivial_character_constant_one(self, small_catalog):
         for G in small_catalog:
-            for sector, cf in decompose_on_inertia(trivial_character(G)):
+            triv = trivial_character(G)
+            for sector in inertia_of_bg(G):
+                cf = rho_twist(triv, sector)
                 assert all(v == rational(1) for v in cf.values)
 
     def test_multiplicativity(self, small_catalog):
@@ -126,21 +128,19 @@ class TestDecomposeOnInertia:
                 continue
             rows = irreducibles(G)
             a, b = rng.choice(rows), rng.choice(rows)
-            da = dict((s.label, cf) for s, cf in decompose_on_inertia(a))
-            db = dict((s.label, cf) for s, cf in decompose_on_inertia(b))
-            for sector, cf in decompose_on_inertia(tensor(a, b)):
-                assert cf == tensor(da[sector.label], db[sector.label])
+            for sector in inertia_of_bg(G):
+                cf = rho_twist(tensor(a, b), sector)
+                assert cf == tensor(rho_twist(a, sector), rho_twist(b, sector))
             checked += 1
 
     def test_linearity_on_virtual(self):
         G = symmetric(3)
         rows = irreducibles(G)
         v = rows[0] - 2 * rows[1] + 3 * rows[2]
-        per = dict((s.label, cf) for s, cf in decompose_on_inertia(v))
-        parts = [dict((s.label, cf) for s, cf in decompose_on_inertia(r))
-                 for r in rows]
-        for label, cf in per.items():
-            want = parts[0][label] - 2 * parts[1][label] + 3 * parts[2][label]
+        for sector in inertia_of_bg(G):
+            cf = rho_twist(v, sector)
+            parts = [rho_twist(r, sector) for r in rows]
+            want = parts[0] - 2 * parts[1] + 3 * parts[2]
             assert cf == want
 
 
