@@ -2,10 +2,11 @@
 
 One JSON file per group, keyed by the canonical hash of (degree, sorted
 element list), so the key is independent of the generating set.  Values are
-stored in the cyclotomic text syntax.  A cached table is revalidated against
-the group's class data and both orthogonality families on load; anything
-unreadable or invalid is recomputed and overwritten.  Writes go through a
-temporary file and an atomic rename.
+stored in the cyclotomic text syntax.  A cached table is revalidated on load
+against the group's class data, its degrees against the identity column,
+and its shape and both orthogonality families by `verify_orthogonality`;
+anything unreadable or invalid is recomputed and overwritten.  Writes go
+through a temporary file and an atomic rename.
 """
 
 from __future__ import annotations
@@ -64,7 +65,11 @@ def _table_from_payload(G: PermGroup, payload: dict) -> CharacterTable | None:
     table = CharacterTable(group=G, rows=rows,
                            degrees=tuple(int(d) for d in payload["degrees"]),
                            prime=int(payload["prime"]))
-    if sum(d * d for d in table.degrees) != G.order:
+    # each stored degree must be its row's value at the identity class; then
+    # the column family at the identity also proves sum d^2 = |G|
+    if len(table.degrees) != len(rows) or any(
+            not row or row[0].as_integer() != d
+            for d, row in zip(table.degrees, rows)):
         return None
     if not verify_orthogonality(table):
         return None

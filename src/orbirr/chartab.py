@@ -8,6 +8,14 @@ cyclotomic field Q(zeta_e) (e the element order) by discrete Fourier
 inversion of the eigenvalue multiplicities.  All lifted values are exact
 `Cyclotomic` elements; the finished table is checked against both
 orthogonality families before it is returned.
+
+That check (`verify_orthogonality`, also run on every cache load) makes no
+`Cyclotomic` products: the table becomes one integer array D*chi_i(g_k) in
+Z[x]/(x^L - 1), both families are cyclic convolutions of it with its
+conjugate, and one integer matrix reduces them mod Phi_L.  It is exact by
+proof: int64 only under a checked overflow bound, Python ints past it.
+Orthogonality is necessary, not sufficient: a swap of two columns of equal
+class size still passes.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from math import isqrt
 import numpy as np
 
 from . import _kernels as kern
-from .exact import Cyclotomic, rational
+from .exact import Cyclotomic, integer_lift, phi_reduction_matrix, rational
 from .groups import PermGroup
 
 
@@ -230,30 +238,64 @@ def _lift_value(G: PermGroup, chi_p: list[int], k: int, e: int, exponent: int,
     return Cyclotomic(e, coeffs)
 
 
+# Exact in int64 only below this bound on every intermediate magnitude.
+_INT64_BOUND = 2**62
+
+
 def verify_orthogonality(table: CharacterTable) -> bool:
-    """Exact check of both orthogonality families."""
+    """Exact check of both orthogonality families.
+
+    Each D*chi_i(g_k) is lifted into Z[x]/(x^L - 1) (``integer_lift``), where
+    conjugation is t -> -t mod L.  Each family is then a weighted Gram
+    matrix of cyclic convolutions: sum_k |C_k| chi_i(g_k) conj chi_j(g_k)
+    for the rows, sum_i chi_i(g_c) conj chi_i(g_c') for the columns.  Its
+    r^2 entries are reduced mod Phi_L by one integer matrix and compared
+    with D^2*|G|*delta_ij and D^2*|G|/|C_c|*delta_cc'.  A table that is not
+    r x r fails.
+
+    Every convolution coefficient is a sum of at most |G|*N products of two
+    coefficients of size <= B (N nonzero coefficients per entry, B the
+    largest), so int64 is used only once |G|*N*B^2 < 2^62 is checked; past
+    that the arrays hold Python ints.  The reduction has its own bound.
+    """
     G = table.group
     classes = G.conjugacy_classes()
-    order = rational(G.order)
     r = len(classes)
     rows = table.rows
-    if len(rows) != r:
+    if len(rows) != r or any(len(row) != r for row in rows):
         return False
-    for i in range(r):
-        conj_i = [v.conjugate() for v in rows[i]]
-        for j in range(i, r):
-            s = rational(0)
-            for k in range(r):
-                s = s + classes[k].size * rows[j][k] * conj_i[k]
-            if s != (order if i == j else rational(0)):
-                return False
-    for c in range(r):
-        for c2 in range(c, r):
-            s = rational(0)
-            for i in range(r):
-                s = s + rows[i][c] * rows[i][c2].conjugate()
-            want = rational(Fraction(G.order, classes[c].size)) if c == c2 \
-                else rational(0)
-            if s != want:
-                return False
-    return True
+    lift = integer_lift([v for row in rows for v in row])
+    L, D = lift.conductor, lift.denominator
+    bound = G.order * lift.max_terms * lift.max_abs ** 2
+    dtype = np.int64 if bound < _INT64_BOUND else object
+    A = lift.coeffs.astype(dtype, copy=False).reshape(r, r, L)
+    sizes = np.array([c.size for c in classes], dtype=dtype)
+    M = phi_reduction_matrix(L)
+    reduce_bound = bound * int(np.abs(M).sum(axis=0).max())
+    if dtype is object or reduce_bound >= _INT64_BOUND:
+        M = M.astype(object)
+    scale = D * D * G.order
+    return (_is_diagonal(_gram(A.transpose(1, 0, 2), sizes) @ M, [scale] * r)
+            and _is_diagonal(_gram(A, np.ones_like(sizes)) @ M,
+                             [scale // c.size for c in classes]))
+
+
+def _gram(A: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    # out[a, b] = sum_m weights[m] * A[m, a] * conj(A[m, b]) in Z[x]/(x^L - 1):
+    # one matrix product per nonzero exponent s of A, shifted by s
+    m, r, L = A.shape
+    conj = A[:, :, (-np.arange(L)) % L].reshape(m, r * L)
+    out = np.zeros((r, r, L), dtype=A.dtype)
+    for s in np.flatnonzero(A.any(axis=(0, 1))):
+        T = ((A[:, :, s] * weights[:, None]).T @ conj).reshape(r, r, L)
+        out[:, :, s:] += T[:, :, :L - s]
+        out[:, :, :s] += T[:, :, L - s:]
+    return out
+
+
+def _is_diagonal(reduced: np.ndarray, diagonal: list[int]) -> bool:
+    # reduced[a, b] is a power-basis vector; true iff it is diagonal[a] * delta_ab
+    idx = np.arange(len(diagonal))
+    got = reduced[idx, idx, 0].tolist()
+    reduced[idx, idx, 0] = 0
+    return got == diagonal and not reduced.any()

@@ -34,17 +34,22 @@ class InputError(ValueError):
     pass
 
 
-def _load_spec(arg: str):
+def _load_spec(arg: str) -> dict:
+    # inline JSON when it opens like JSON, else a file path; every
+    # description is a JSON object
     text = arg.strip()
-    if not text.startswith("{"):
+    if not text.startswith(("{", "[")):
         try:
             text = Path(arg).read_text()
         except OSError as exc:
             raise InputError(f"cannot read input file {arg!r}: {exc}") from exc
     try:
-        return json.loads(text)
+        spec = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {arg!r}: {exc}") from exc
+    if not isinstance(spec, dict):
+        raise InputError(f"JSON in {arg!r} is not an object")
+    return spec
 
 
 def _approx(x) -> list[float]:
@@ -204,6 +209,9 @@ def cmd_obstruction(args) -> tuple[dict, int]:
 
 
 def cmd_selftest(args) -> tuple[dict, int]:
+    # a negative genus bound empties the curve grid, which would pass vacuously
+    if args.genus_max < 0:
+        raise InputError(f"--genus-max must be at least 0, got {args.genus_max}")
     results = run_selftest(
         max_group=_max_group(args, 24),
         max_order=args.max_order,

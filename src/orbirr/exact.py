@@ -5,7 +5,9 @@ Every quantity in this package that carries mathematical meaning is either a
 form of an element of Q(zeta_n) modulo the n-th cyclotomic polynomial, in the
 power basis {zeta_n^i : 0 <= i < phi(n)}.  Equality across conductors is
 decided by lifting both operands into Q(zeta_lcm) and comparing normal forms;
-floats never enter any computation (``to_complex`` is display-only).
+floats never enter any computation (``to_complex`` is display-only).  Checks
+over many values at once use ``integer_lift``, an exact integer-array form of
+the same elements at one conductor over one denominator.
 """
 
 from __future__ import annotations
@@ -15,15 +17,21 @@ import functools
 import re
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
+
+import numpy as np
 
 __all__ = [
     "Cyclotomic",
     "ConductorCapExceeded",
+    "IntegerLift",
     "conductor_cap",
     "cyclotomic_poly",
     "euler_phi",
     "format_cyclotomic",
+    "integer_lift",
     "parse_cyclotomic",
+    "phi_reduction_matrix",
     "rational",
     "root_of_unity",
     "set_conductor_cap",
@@ -456,6 +464,74 @@ def weighted_root_sum(n: int, terms) -> Cyclotomic:
 
 ZERO = rational(0)
 ONE = rational(1)
+
+
+# -- integer coefficient arrays ----------------------------------------------------
+#
+# Batch work on many values runs on integers, not on Cyclotomic objects: D*x
+# for one common denominator D, written in Z[x]/(x^L - 1) at one conductor L.
+# There a product is a cyclic convolution and conjugation is t -> -t mod L;
+# one reduction mod Phi_L (phi_reduction_matrix) gives the normal form.
+
+
+class IntegerLift(NamedTuple):
+    """Values x_k = (1/D) * sum_t coeffs[k, t] * zeta_L^t."""
+
+    coeffs: np.ndarray  # shape (len(values), L): int64, or Python ints past it
+    denominator: int  # D, the lcm of the coefficient denominators
+    conductor: int  # L, the lcm of the conductors of the irrational values
+    max_abs: int  # largest |coefficient| in coeffs
+    max_terms: int  # most nonzero coefficients in one row of coeffs
+
+
+def integer_lift(values) -> IntegerLift:
+    """Lift Cyclotomic values onto one conductor over one denominator.
+
+    Only irrational values set L: a rational value goes to index 0 whatever
+    conductor it is stored at.  L passes the conductor cap before anything
+    is allocated.  A value stored at conductor n | L keeps its power-basis
+    coefficients, moved to exponents i*(L/n); nothing is reduced.
+    """
+    values = list(values)
+    L = lcm(*(v.n for v in values if not v.is_rational()))
+    _check_conductor(L)
+    D = lcm(*(c.denominator for v in values for c in v.c if c))
+    index_k, index_t, entries = [], [], []
+    max_terms = 0
+    for k, v in enumerate(values):
+        step = L // v.n if not v.is_rational() else 0
+        terms = [(i * step, c) for i, c in enumerate(v.c) if c]
+        max_terms = max(max_terms, len(terms))
+        for t, c in terms:
+            index_k.append(k)
+            index_t.append(t)
+            entries.append(c.numerator * (D // c.denominator))
+    max_abs = max(map(abs, entries), default=0)
+    coeffs = np.zeros((len(values), L),
+                      dtype=np.int64 if max_abs < 2**63 else object)
+    coeffs[index_k, index_t] = entries
+    return IntegerLift(coeffs, D, L, max_abs, max_terms)
+
+
+@functools.lru_cache(maxsize=None)
+def phi_reduction_matrix(n: int) -> np.ndarray:
+    """The n x phi(n) integer matrix whose row t holds x^t mod Phi_n.
+
+    For a in Z[x]/(x^n - 1), ``a @ M`` is its power-basis vector modulo
+    Phi_n.  int64 when every entry fits, else Python ints; read-only.
+    """
+    ph = euler_phi(n)
+    poly = cyclotomic_poly(n)
+    rows = [[int(i == t) for i in range(ph)] for t in range(ph)]
+    for _ in range(ph, n):
+        # x * x^(t-1), then x^ph = -sum_{i<ph} Phi_n[i] x^i (Phi_n is monic)
+        top = rows[-1][-1]
+        shifted = [0] + rows[-1][:-1]
+        rows.append([v - top * p for v, p in zip(shifted, poly)])
+    big = max(abs(v) for row in rows for v in row)
+    mat = np.array(rows, dtype=np.int64 if big < 2**63 else object)
+    mat.setflags(write=False)
+    return mat
 
 
 # -- text syntax ---------------------------------------------------------------

@@ -321,12 +321,14 @@ def group_from_json(spec, cap: int = DEFAULT_CAP) -> PermGroup:
     """
     if isinstance(spec, str):
         spec = json.loads(spec)
-    if not isinstance(spec, dict) or "type" not in spec:
+    if not isinstance(spec, dict):
+        raise ValueError(f"group JSON is not an object: {json.dumps(spec)}")
+    if "type" not in spec:
         raise ValueError("group description must be an object with a 'type'")
     kind = spec["type"]
     if kind == "permutation":
         degree = _int_field(spec, kind, "degree")
-        gens = [tuple(int(v) - 1 for v in g) for g in spec["generators"]]
+        gens = _generators_field(spec, kind)
         for g in gens:
             if sorted(g) != list(range(degree)):
                 raise ValueError(f"bad one-line image list {spec['generators']}")
@@ -359,6 +361,19 @@ def _int_field(spec: dict, kind: str, field: str) -> int:
         raise ValueError(f"{kind} group needs an integer {field!r}, "
                          f"got {json.dumps(value)}")
     return n
+
+
+def _generators_field(spec: dict, kind: str) -> list[tuple[int, ...]]:
+    # a list of one-line image lists of integers, read 1-indexed; anything
+    # else is an input error naming the group type and the field
+    value = spec.get("generators")
+    if not isinstance(value, list) or not all(
+            isinstance(g, list) and all(
+                isinstance(v, int) and not isinstance(v, bool) for v in g)
+            for g in value):
+        raise ValueError(f"{kind} group needs a list of integer lists "
+                         f"'generators', got {json.dumps(value)}")
+    return [tuple(v - 1 for v in g) for g in value]
 
 
 def _dihedral_n(spec: dict) -> int:

@@ -22,7 +22,9 @@ independent route:
 
 Every check is an exact identity; a single counterexample marks the whole
 check failed and the CLI exits 2.  `inject_mismatch` deliberately perturbs
-one character value before checking, to exercise the failure path end to end.
+one character value before checking, to exercise the failure path end to end;
+with no group of order > 1 under the cap there is nothing to perturb, and it
+raises ValueError instead of passing.
 """
 
 from __future__ import annotations
@@ -249,6 +251,9 @@ def check_obstruction(groups: list[PermGroup]) -> CheckResult:
 def run_selftest(max_group: int = 24, max_order: int = 8, genus_max: int = 2,
                  inject_mismatch: bool = False) -> dict:
     groups = [G for G in catalog() if G.order <= max_group]
+    if inject_mismatch and all(G.order == 1 for G in groups):
+        raise ValueError(f"nothing to perturb: no catalog group of order > 1 "
+                         f"is within the group cap {max_group}")
     results = [
         check_char_tables(groups, inject_mismatch=inject_mismatch),
         check_bg_hrr(groups),

@@ -5,7 +5,9 @@ kernels: conjugacy data is recomputed by plain dictionary brute force, the
 reference character tables come either from the closed cyclic-group formula
 or from simultaneous eigenspace splitting over an exact cyclotomic field
 (sympy), and the exterior-power oracles work on explicit permutation
-matrices with fraction arithmetic.
+matrices with fraction arithmetic.  The one exception is the orthogonality
+reference: it reads the group's classes and sums both families term by term
+in `Cyclotomic` arithmetic, independently of the integer arrays it checks.
 """
 
 from __future__ import annotations
@@ -170,6 +172,37 @@ def row_key(row) -> tuple:
 
 def table_row_multiset(rows) -> list[tuple]:
     return sorted(row_key(row) for row in rows)
+
+
+def fraction_orthogonality(table) -> bool:
+    """Both orthogonality families summed term by term in `Cyclotomic`
+    arithmetic: the reference that `chartab.verify_orthogonality` is checked
+    against.  A table that is not r x r fails, as there."""
+    G = table.group
+    classes = G.conjugacy_classes()
+    order = rational(G.order)
+    r = len(classes)
+    rows = table.rows
+    if len(rows) != r or any(len(row) != r for row in rows):
+        return False
+    for i in range(r):
+        conj_i = [v.conjugate() for v in rows[i]]
+        for j in range(i, r):
+            s = rational(0)
+            for k in range(r):
+                s = s + classes[k].size * rows[j][k] * conj_i[k]
+            if s != (order if i == j else rational(0)):
+                return False
+    for c in range(r):
+        for c2 in range(c, r):
+            s = rational(0)
+            for i in range(r):
+                s = s + rows[i][c] * rows[i][c2].conjugate()
+            want = rational(Fraction(G.order, classes[c].size)) if c == c2 \
+                else rational(0)
+            if s != want:
+                return False
+    return True
 
 
 # -- exact matrix oracles for lambda operations ----------------------------------

@@ -1,12 +1,20 @@
+import random
 from fractions import Fraction
 
+import numpy as np
+import pytest
+
+from orbirr import chartab
 from orbirr.chartab import (CharacterTable, character_table,
                             smallest_dixon_prime, verify_orthogonality)
-from orbirr.exact import format_cyclotomic, rational
-from orbirr.groups import cyclic, quaternion, symmetric
+from orbirr.exact import (ConductorCapExceeded, conductor_cap,
+                          format_cyclotomic, rational, root_of_unity,
+                          set_conductor_cap)
+from orbirr.groups import cyclic, dihedral, quaternion, symmetric
 from orbirr.repring import ClassFunction, regular_character
 
-from exact_oracles import reference_table_rows, table_row_multiset
+from exact_oracles import (fraction_orthogonality, reference_table_rows,
+                           table_row_multiset)
 
 
 class TestSmallTables:
@@ -92,6 +100,112 @@ class TestOrthogonality:
         flipped = CharacterTable(group=t.group, rows=t.rows[::-1],
                                  degrees=t.degrees[::-1], prime=t.prime)
         assert verify_orthogonality(flipped)
+
+
+def _with_rows(table, rows) -> CharacterTable:
+    return CharacterTable(group=table.group,
+                          rows=tuple(tuple(r) for r in rows),
+                          degrees=table.degrees, prime=table.prime)
+
+
+def _perturb(table, rng: random.Random) -> CharacterTable:
+    # one seeded fault of each kind the cache or a lift could plant
+    rows = [list(r) for r in table.rows]
+    r = len(rows)
+    i, k = rng.randrange(r), rng.randrange(r)
+    kind = rng.choice(["root", "half", "swap", "conjugate", "ragged"])
+    if kind == "root":
+        m = rng.choice([2, 3, 4, 5, 6])
+        rows[i][k] = rows[i][k] * root_of_unity(m, rng.randrange(1, m))
+    elif kind == "half":
+        rows[i][k] = rows[i][k] + Fraction(1, 2)
+    elif kind == "swap":
+        j = rng.randrange(r)
+        rows[i], rows[j] = rows[j], rows[i]
+    elif kind == "conjugate":
+        rows[i] = [v.conjugate() for v in rows[i]]
+    elif rng.random() < 0.5:
+        rows[i].append(rational(7))
+    else:
+        rows[i].pop()
+    return _with_rows(table, rows)
+
+
+def _rotated_c2_table(a: int, b: int, c: int) -> CharacterTable:
+    # the C2 table times the rational rotation [[a, -b], [b, a]] / c, with
+    # a^2 + b^2 = c^2: not a character table, but both families still hold
+    assert a * a + b * b == c * c
+    t = character_table(cyclic(2))
+    rows = [[rational(Fraction(a - b, c)), rational(Fraction(a + b, c))],
+            [rational(Fraction(b + a, c)), rational(Fraction(b - a, c))]]
+    return _with_rows(t, rows)
+
+
+class TestAgainstFractionReference:
+    """The integer-array check and the term-by-term Cyclotomic reference
+    reach the same verdict on every table below."""
+
+    def test_catalog_and_larger_tables(self, catalog_groups):
+        for G in list(catalog_groups) + [cyclic(30), dihedral(30)]:
+            t = character_table(G)
+            assert verify_orthogonality(t) is True
+            assert fraction_orthogonality(t) is True, G.name
+
+    def test_seeded_perturbations(self, small_catalog):
+        tables = [character_table(G) for G in small_catalog if G.order > 1]
+        rng = random.Random(20)
+        verdicts = set()
+        for _ in range(120):
+            bad = _perturb(rng.choice(tables), rng)
+            got = verify_orthogonality(bad)
+            assert got == fraction_orthogonality(bad), bad.rows
+            verdicts.add(got)
+        assert verdicts == {True, False}
+
+    def test_same_size_column_swap_is_not_caught(self):
+        # orthogonality alone does not prove the table belongs to the group:
+        # in C5, classes 1 and 2 both have size 1, and swapping them passes
+        t = character_table(cyclic(5))
+        rows = [[row[0], row[2], row[1]] + list(row[3:]) for row in t.rows]
+        swapped = _with_rows(t, rows)
+        assert swapped.rows != t.rows
+        assert verify_orthogonality(swapped) is True
+        assert fraction_orthogonality(swapped) is True
+
+    @pytest.mark.parametrize("triple, dtype", [
+        ((3, 4, 5), np.int64),
+        ((10**12 - 1, 2 * 10**6, 10**12 + 1), object)])
+    def test_denominators_choose_the_integer_path(self, monkeypatch, triple,
+                                                  dtype):
+        seen = []
+        real = chartab._gram
+
+        def spy(A, weights):
+            seen.append(A.dtype)
+            return real(A, weights)
+
+        good = _rotated_c2_table(*triple)
+        bad = _with_rows(good, [good.rows[0],
+                                [good.rows[1][0] + Fraction(1, triple[2] ** 2),
+                                 good.rows[1][1]]])
+        monkeypatch.setattr(chartab, "_gram", spy)
+        assert verify_orthogonality(good) is True
+        assert fraction_orthogonality(good) is True
+        assert verify_orthogonality(bad) is False
+        assert fraction_orthogonality(bad) is False
+        assert seen and all(d == np.dtype(dtype) for d in seen)
+
+    def test_conductor_over_cap_raises(self):
+        t = character_table(cyclic(12))
+        old = conductor_cap()
+        set_conductor_cap(6)
+        try:
+            with pytest.raises(ConductorCapExceeded):
+                verify_orthogonality(t)
+            with pytest.raises(ConductorCapExceeded):
+                fraction_orthogonality(t)
+        finally:
+            set_conductor_cap(old)
 
 
 class TestDixonPrime:

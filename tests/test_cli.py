@@ -120,6 +120,22 @@ class TestInputHandling:
             assert captured.out == ""
             assert "group needs an integer" in captured.err
 
+    def test_bad_permutation_generators(self, capsys):
+        for gens in (',"generators":[[null,1,2]]', '', ',"generators":null',
+                     ',"generators":[[2,1,"3"]]'):
+            spec = '{"type":"permutation","degree":3' + gens + '}'
+            assert main(["chartable", "--group", spec]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "permutation group needs a list of integer lists " \
+                "'generators'" in captured.err
+
+    def test_json_not_an_object(self, capsys):
+        assert main(["chartable", "--group", "[1,2]"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "JSON in '[1,2]' is not an object" in captured.err
+
     def test_missing_file(self, capsys):
         assert main(["euler", "--curve", "no/such/file.json"]) == 1
 
@@ -179,6 +195,40 @@ class TestChartableAndCache:
         assert code == 0
         assert strip_timing(rep1) == strip_timing(rep2)
 
+    @staticmethod
+    def _tampered_file_recomputed(capsys, tmp_path, group, edit):
+        # write the table, apply `edit` to the cached payload, and check
+        # that the next call rejects it, prints the true table and rewrites it
+        _, rep1 = run_cli(capsys, "chartable", "--cache-dir", str(tmp_path),
+                          "--group", group)
+        cache_file = next(tmp_path.glob("*.json"))
+        good = json.loads(cache_file.read_text())
+        payload = json.loads(cache_file.read_text())
+        edit(payload)
+        cache_file.write_text(json.dumps(payload))
+        code, rep2 = run_cli(capsys, "chartable", "--cache-dir", str(tmp_path),
+                             "--group", group)
+        assert code == 0
+        assert strip_timing(rep1) == strip_timing(rep2)
+        assert json.loads(cache_file.read_text()) == good
+
+    def test_short_cached_row_recomputed(self, capsys, tmp_path):
+        self._tampered_file_recomputed(
+            capsys, tmp_path, '{"type":"cyclic","order":5}',
+            lambda p: p["rows"][1].pop())
+
+    def test_long_cached_row_recomputed(self, capsys, tmp_path):
+        self._tampered_file_recomputed(
+            capsys, tmp_path, '{"type":"cyclic","order":5}',
+            lambda p: p["rows"][1].append("7"))
+
+    def test_permuted_cached_degrees_recomputed(self, capsys, tmp_path):
+        def permute(p):
+            assert p["degrees"] == [1, 1, 2]
+            p["degrees"] = [2, 1, 1]
+        self._tampered_file_recomputed(
+            capsys, tmp_path, '{"type":"symmetric","n":3}', permute)
+
     def test_generator_presentation_independent_key(self, capsys, tmp_path):
         a = ('{"type":"permutation","degree":3,'
              '"generators":[[2,1,3],[2,3,1]]}')
@@ -211,3 +261,18 @@ class TestSelftestCommand:
                             "--inject-mismatch")
         assert code == 2
         assert rep["verdicts"]["char_tables"] == "mismatch"
+
+    def test_negative_genus_max_rejected(self, capsys):
+        # a negative bound would empty the curve grid and pass vacuously
+        assert main(["selftest", "--max-group", "1", "--max-order", "2",
+                     "--genus-max", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--genus-max must be at least 0, got -1" in captured.err
+
+    def test_injected_mismatch_needs_a_group_to_perturb(self, capsys):
+        assert main(["selftest", "--max-group", "1", "--max-order", "2",
+                     "--genus-max", "0", "--inject-mismatch"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "nothing to perturb" in captured.err

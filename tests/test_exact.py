@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from orbirr.exact import (ConductorCapExceeded, conductor_cap,
+from orbirr.exact import (ConductorCapExceeded, Cyclotomic, conductor_cap,
                           cyclotomic_poly, euler_phi, format_cyclotomic,
-                          parse_cyclotomic, rational, root_of_unity,
-                          set_conductor_cap, weighted_root_sum)
+                          integer_lift, parse_cyclotomic, phi_reduction_matrix,
+                          rational, root_of_unity, set_conductor_cap,
+                          weighted_root_sum)
 
 
 def zeta(n, k=1):
@@ -164,6 +165,46 @@ class TestConductors:
         a, b = zeta(6), zeta(4)
         assert (a + b).lift(24) == a.lift(24) + b.lift(24)
         assert (a * b).lift(24) == a.lift(24) * b.lift(24)
+
+
+class TestIntegerLift:
+    def test_reduction_rows_are_normal_forms(self):
+        for n in range(1, 41):
+            M = phi_reduction_matrix(n)
+            assert M.shape == (n, euler_phi(n))
+            for t in range(n):
+                assert tuple(Fraction(int(v)) for v in M[t]) == zeta(n, t).c
+
+    def test_lift_round_trips(self):
+        values = POOL + [rational(Fraction(5, 6)).lift(12),
+                         Fraction(1, 3) * zeta(4), zeta(5, 3)]
+        lift = integer_lift(values)
+        assert lift.conductor == 120   # lcm of 3, 4, 6, 8, 5, 12
+        assert lift.denominator == 6
+        assert lift.coeffs.shape == (len(values), 120)
+        assert lift.max_abs == max(abs(int(v)) for v in lift.coeffs.flat)
+        # the rational 5/6 stored at conductor 12 sits at index 0
+        assert list(lift.coeffs[len(POOL)].nonzero()[0]) == [0]
+        M = phi_reduction_matrix(120)
+        for v, row in zip(values, lift.coeffs):
+            back = Cyclotomic(120, [Fraction(int(c), 6) for c in row @ M])
+            assert back == v
+
+    def test_huge_coefficients_stay_exact(self):
+        big = 10**30 + 1
+        lift = integer_lift([Fraction(big, 7) * zeta(3), rational(1)])
+        assert lift.coeffs.dtype == object
+        assert lift.max_abs == big and lift.denominator == 7
+        assert lift.coeffs[0, 1] == big
+
+    def test_cap_checked_on_the_common_conductor(self):
+        values = [zeta(7), zeta(11)]
+        set_conductor_cap(50)
+        try:
+            with pytest.raises(ConductorCapExceeded):
+                integer_lift(values)
+        finally:
+            set_conductor_cap(256)
 
 
 class TestComplexApprox:

@@ -201,9 +201,26 @@ class TestJson:
                 ({"type": "dihedral", "n": 4, "order": []},
                  "dihedral group .* 'order'"),
                 ({"type": "permutation", "generators": []},
-                 "permutation group .* 'degree'")]:
+                 "permutation group .* 'degree'"),
+                ({"type": "permutation", "degree": 3},
+                 "permutation group .* 'generators'"),
+                ({"type": "permutation", "degree": 3, "generators": None},
+                 "permutation group .* 'generators'"),
+                ({"type": "permutation", "degree": 3, "generators": [2, 1, 3]},
+                 "permutation group .* 'generators'"),
+                ({"type": "permutation", "degree": 3,
+                  "generators": [[None, 1, 2]]},
+                 "permutation group .* 'generators'"),
+                ({"type": "permutation", "degree": 3,
+                  "generators": [[2, 1, "3"]]},
+                 "permutation group .* 'generators'"),
+                ({"type": "permutation", "degree": 3,
+                  "generators": [[2, 1, True]]},
+                 "permutation group .* 'generators'")]:
             with pytest.raises(ValueError, match=msg):
                 group_from_json(spec)
+        with pytest.raises(ValueError, match="not an object"):
+            group_from_json([1, 2])
         assert group_from_json(
             {"type": "dihedral", "n": None, "order": 8}).name == "D4"
 

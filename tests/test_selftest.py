@@ -67,3 +67,9 @@ def test_reduced_run_counts_pinned():
         ("esum", 49, ""),
         ("obstruction", 12, ""),
     ]
+
+
+def test_inject_mismatch_without_a_group_to_perturb():
+    # only the trivial group is under cap 1: the flag would change nothing
+    with pytest.raises(ValueError, match="nothing to perturb"):
+        selftest.run_selftest(1, 2, 0, inject_mismatch=True)
