@@ -5,9 +5,11 @@ p > 2*sqrt(|G|): the class-sum matrices are simultaneously diagonalized over
 F_p by recursive eigenspace splitting, eigenvectors are normalized to
 characters through the degree formula, and each value is lifted to the
 cyclotomic field Q(zeta_e) (e the element order) by discrete Fourier
-inversion of the eigenvalue multiplicities.  All lifted values are exact
-`Cyclotomic` elements; the finished table is checked against both
-orthogonality families before it is returned.
+inversion of the eigenvalue multiplicities: one mod-p product of the table's
+columns at the powers g_k^s with the e x e DFT matrix per class k, for every
+row at once.  All lifted values are exact `Cyclotomic` elements; the
+finished table is checked against both orthogonality families before it is
+returned.
 
 That check (`verify_orthogonality`, also run on every cache load) makes no
 `Cyclotomic` products: the table becomes one integer array D*chi_i(g_k) in
@@ -21,13 +23,13 @@ class size still passes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
 
 import numpy as np
 
 from . import _kernels as kern
-from .exact import Cyclotomic, integer_lift, phi_reduction_matrix, rational
+from .exact import (Cyclotomic, _check_conductor, integer_lift,
+                    phi_reduction_matrix, rational)
 from .groups import PermGroup
 
 
@@ -41,14 +43,6 @@ class CharacterTable:
     rows: tuple[tuple[Cyclotomic, ...], ...]
     degrees: tuple[int, ...]
     prime: int
-
-    @property
-    def classes(self):
-        return self.group.conjugacy_classes()
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.rows)
 
     def trivial_index(self) -> int:
         one = rational(1)
@@ -163,6 +157,8 @@ def character_table(G: PermGroup) -> CharacterTable:
     if G._char_table is not None:
         return G._char_table
     classes = G.conjugacy_classes()
+    for c in classes:  # chi(g_k) lies in Q(zeta_e), e = ord g_k: cap before any work
+        _check_conductor(c.rep_order)
     r = len(classes)
     order = G.order
     exponent = G.exponent()
@@ -177,8 +173,9 @@ def character_table(G: PermGroup) -> CharacterTable:
     zgen = _primitive_root(p)
     omega_exp = pow(zgen, (p - 1) // exponent, p)
 
-    rows: list[tuple[int, tuple[Cyclotomic, ...]]] = []
-    for w in eigenrows:
+    degrees: list[int] = []
+    X = np.zeros((r, r), dtype=np.int64)  # X[i, k] = chi_i(g_k) mod p
+    for i, w in enumerate(eigenrows):
         w = [int(v) % p for v in w]
         if w[0] == 0:
             raise TableComputationError("eigenrow vanishes at the identity class")
@@ -193,11 +190,31 @@ def character_table(G: PermGroup) -> CharacterTable:
         d = min(d, p - d)
         if d == 0 or d * d > order:
             raise TableComputationError(f"implausible degree lift {d}")
-        chi_p = [d * w[k] * pow(sizes[k], p - 2, p) % p for k in range(r)]
-        values = tuple(
-            _lift_value(G, chi_p, k, classes[k].rep_order, exponent, omega_exp, p, d)
-            for k in range(r))
-        rows.append((d, values))
+        degrees.append(d)
+        X[i] = [d * w[k] * pow(sizes[k], p - 2, p) % p for k in range(r)]
+
+    # chi(g_k) = sum_j m_j zeta_e^j with m_j the multiplicity of eigenvalue j,
+    # recovered mod p for every row at once by the inverse DFT
+    # m_j = e^-1 sum_s chi(g_k^s) omega^(-js) against a fixed e-th root omega
+    deg = np.array(degrees, dtype=np.int64)
+    columns = []
+    for k, cls in enumerate(classes):
+        e = cls.rep_order
+        pw = [G.power_class_map(k, s) for s in range(e)]
+        omega = pow(omega_exp, exponent // e, p)
+        powers = np.array([pow(omega, t, p) for t in range(e)], dtype=np.int64)
+        F = powers[-np.outer(np.arange(e), np.arange(e)) % e]
+        m = kern.modp_matmul(X[:, pw], F, p) * pow(e, p - 2, p) % p
+        over = np.argwhere(m > deg[:, None])
+        if len(over):
+            i, j = over[0]
+            raise TableComputationError(
+                f"eigenvalue multiplicity {m[i, j]} exceeds degree {degrees[i]}")
+        if (m.sum(axis=1) != deg).any():
+            raise TableComputationError(
+                "eigenvalue multiplicities do not sum to degree")
+        columns.append([Cyclotomic(e, m_i) for m_i in m.tolist()])
+    rows = [(d, tuple(col[i] for col in columns)) for i, d in enumerate(degrees)]
 
     rows.sort(key=lambda item: (item[0], tuple(v.c for v in item[1])))
     table = CharacterTable(
@@ -212,30 +229,6 @@ def character_table(G: PermGroup) -> CharacterTable:
         raise TableComputationError("orthogonality check failed after lift")
     G._char_table = table
     return table
-
-
-def _lift_value(G: PermGroup, chi_p: list[int], k: int, e: int, exponent: int,
-                omega_exp: int, p: int, degree: int) -> Cyclotomic:
-    # chi(g_k) = sum_j m_j zeta_e^j with m_j the multiplicity of eigenvalue j,
-    # recovered mod p by inverse DFT against the fixed e-th root of unity.
-    omega = pow(omega_exp, exponent // e, p)
-    e_inv = pow(e, p - 2, p)
-    coeffs = [Fraction(0)] * e
-    total = 0
-    for j in range(e):
-        acc = 0
-        for s in range(e):
-            cls = G.power_class_map(k, s)
-            acc = (acc + chi_p[cls] * pow(omega, (-j * s) % e, p)) % p
-        m_j = acc * e_inv % p
-        if m_j > degree:
-            raise TableComputationError(
-                f"eigenvalue multiplicity {m_j} exceeds degree {degree}")
-        total += m_j
-        coeffs[j] = Fraction(m_j)
-    if total != degree:
-        raise TableComputationError("eigenvalue multiplicities do not sum to degree")
-    return Cyclotomic(e, coeffs)
 
 
 # Exact in int64 only below this bound on every intermediate magnitude.

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import Cyclotomic, rational, root_of_unity
+from .groups import _int_field
 from .inertia import CurveSector
 
 
@@ -219,13 +220,23 @@ def curve_from_json(spec) -> StackyCurve:
     """{"genus":0,"points":[{"label":"x1","order":2}, ...]}"""
     if isinstance(spec, str):
         spec = json.loads(spec)
-    pts = tuple((str(p["label"]), int(p["order"])) for p in spec.get("points", []))
-    return StackyCurve(int(spec["genus"]), pts)
+    points = spec.get("points", [])
+    if not isinstance(points, list) or not all(isinstance(p, dict) for p in points):
+        raise ValueError("curve needs a list of point objects 'points', "
+                         f"got {json.dumps(points)}")
+    pts = tuple((str(p["label"]), _int_field(p, f"point {p['label']!r}", "order"))
+                for p in points)
+    return StackyCurve(_int_field(spec, "curve", "genus"), pts)
 
 
 def divisor_from_json(curve: StackyCurve, spec) -> QDivisor:
     """{"free_degree":-2,"weights":{"x1":1,"x2":2,"x3":6}}"""
     if isinstance(spec, str):
         spec = json.loads(spec)
-    return q_divisor(curve, int(spec.get("free_degree", 0)),
-                     {str(k): int(v) for k, v in spec.get("weights", {}).items()})
+    weights = spec.get("weights", {})
+    if not isinstance(weights, dict):
+        raise ValueError("divisor needs an object 'weights', "
+                         f"got {json.dumps(weights)}")
+    free = _int_field(spec, "divisor", "free_degree") if "free_degree" in spec else 0
+    return q_divisor(curve, free,
+                     {k: _int_field(weights, "divisor 'weights'", k) for k in weights})

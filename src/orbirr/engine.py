@@ -74,22 +74,6 @@ def verify_hrr_bg(G: PermGroup, v: ClassFunction,
     )
 
 
-def full_enumeration_average(G: PermGroup, v: ClassFunction) -> Fraction:
-    """(1/|G|) sum over every element of V(g), summed by full enumeration.
-
-    Independent of the class-size bookkeeping; ties the inertia sum back to
-    orbit-stabilizer.
-    """
-    class_of = G.class_of_index()
-    total = rational(0)
-    for idx in range(G.order):
-        total = total + v.values[int(class_of[idx])]
-    q = (total * rational(Fraction(1, G.order))).as_rational()
-    if q is None:
-        raise ValueError("enumeration average failed to be rational")
-    return q
-
-
 # -- the obstruction witness -------------------------------------------------------
 
 

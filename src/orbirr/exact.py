@@ -295,45 +295,6 @@ class Cyclotomic:
         q = self.as_rational()
         return q.numerator if q is not None and q.denominator == 1 else None
 
-    def reduced(self) -> "Cyclotomic":
-        """Equal element at the smallest conductor dividing the current one."""
-        if self.is_rational():
-            return Cyclotomic._raw(1, (self.c[0],))
-        for m in range(2, self.n):
-            if self.n % m == 0:
-                down = self._try_descend(m)
-                if down is not None:
-                    return down
-        return self
-
-    def _try_descend(self, m: int) -> "Cyclotomic | None":
-        # Solve for coordinates of self in the power basis of Q(zeta_m).
-        ph_n, ph_m = euler_phi(self.n), euler_phi(m)
-        cols = [root_of_unity(m, j).lift(self.n).c for j in range(ph_m)]
-        # Gaussian elimination on the (ph_n x ph_m) system cols * x = self.c
-        mat = [[cols[j][i] for j in range(ph_m)] + [self.c[i]] for i in range(ph_n)]
-        pivots: list[tuple[int, int]] = []
-        row = 0
-        for col in range(ph_m):
-            sel = next((r for r in range(row, ph_n) if mat[r][col]), None)
-            if sel is None:
-                continue
-            mat[row], mat[sel] = mat[sel], mat[row]
-            inv = Fraction(1) / mat[row][col]
-            mat[row] = [v * inv for v in mat[row]]
-            for r in range(ph_n):
-                if r != row and mat[r][col]:
-                    f = mat[r][col]
-                    mat[r] = [v - f * w for v, w in zip(mat[r], mat[row])]
-            pivots.append((row, col))
-            row += 1
-        if any(mat[r][-1] for r in range(row, ph_n)):
-            return None
-        sol = [Fraction(0)] * ph_m
-        for r, c in pivots:
-            sol[c] = mat[r][-1]
-        return Cyclotomic._raw(m, tuple(sol))
-
     # -- comparison / display ------------------------------------------------------
 
     def __eq__(self, other):
@@ -344,11 +305,6 @@ class Cyclotomic:
 
     def __bool__(self):
         return not self.is_zero()
-
-    def sort_key(self) -> tuple:
-        """Deterministic total-order key (conductor-independent)."""
-        r = self.reduced()
-        return (r.n,) + r.c
 
     def to_complex(self) -> complex:
         """Numeric evaluation at zeta_n = exp(2*pi*i/n).  Display only."""

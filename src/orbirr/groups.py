@@ -219,10 +219,9 @@ class PermGroup:
         cent = sorted(self.elements[i] for i in np.nonzero(mask)[0])
         return tuple(cent)
 
-    def centralizer_subgroup(self, class_index: int,
-                             name: str | None = None) -> "PermGroup":
+    def centralizer_subgroup(self, class_index: int) -> "PermGroup":
         cls = self.conjugacy_classes()[class_index]
-        label = name or f"Z({cycle_string(cls.representative)})<{self.name}"
+        label = f"Z({cycle_string(cls.representative)})<{self.name}"
         return PermGroup(self.degree, cls.centralizer, name=label)
 
     def power_class_map(self, class_index: int, exponent: int) -> int:
@@ -327,20 +326,20 @@ def group_from_json(spec, cap: int = DEFAULT_CAP) -> PermGroup:
         raise ValueError("group description must be an object with a 'type'")
     kind = spec["type"]
     if kind == "permutation":
-        degree = _int_field(spec, kind, "degree")
+        degree = _int_field(spec, f"{kind} group", "degree")
         gens = _generators_field(spec, kind)
         for g in gens:
             if sorted(g) != list(range(degree)):
                 raise ValueError(f"bad one-line image list {spec['generators']}")
         return PermGroup(degree, gens, name=spec.get("name"), cap=cap)
     if kind == "cyclic":
-        return cyclic(_int_field(spec, kind, "order"), cap=cap)
+        return cyclic(_int_field(spec, f"{kind} group", "order"), cap=cap)
     if kind == "dihedral":
         return dihedral(_dihedral_n(spec), cap=cap)
     if kind == "symmetric":
-        return symmetric(_int_field(spec, kind, "n"), cap=cap)
+        return symmetric(_int_field(spec, f"{kind} group", "n"), cap=cap)
     if kind == "alternating":
-        return alternating(_int_field(spec, kind, "n"), cap=cap)
+        return alternating(_int_field(spec, f"{kind} group", "n"), cap=cap)
     if kind == "quaternion":
         return quaternion(cap=cap)
     if kind == "trivial":
@@ -348,9 +347,9 @@ def group_from_json(spec, cap: int = DEFAULT_CAP) -> PermGroup:
     raise ValueError(f"unknown group type {kind!r}")
 
 
-def _int_field(spec: dict, kind: str, field: str) -> int:
+def _int_field(spec: dict, subject: str, field: str) -> int:
     # a missing, null, boolean, non-numeric or fractional field is an input
-    # error naming the group type and the field
+    # error naming its subject (a group type, a curve, ...) and the field
     value = spec.get(field)
     try:
         n = int(value)
@@ -358,7 +357,7 @@ def _int_field(spec: dict, kind: str, field: str) -> int:
         n = None
     if (n is None or isinstance(value, bool)
             or (isinstance(value, float) and value != n)):
-        raise ValueError(f"{kind} group needs an integer {field!r}, "
+        raise ValueError(f"{subject} needs an integer {field!r}, "
                          f"got {json.dumps(value)}")
     return n
 
@@ -380,13 +379,13 @@ def _dihedral_n(spec: dict) -> int:
     # D_n has order 2n: an odd order, or an n that disagrees with the order,
     # names no dihedral group; a null field counts as absent
     if spec.get("n") is None:
-        order = _int_field(spec, "dihedral", "order")
+        order = _int_field(spec, "dihedral group", "order")
         if order % 2:
             raise ValueError(f"dihedral group order must be even, got {order}")
         return order // 2
-    n = _int_field(spec, "dihedral", "n")
+    n = _int_field(spec, "dihedral group", "n")
     if spec.get("order") is not None:
-        order = _int_field(spec, "dihedral", "order")
+        order = _int_field(spec, "dihedral group", "order")
         if order != 2 * n:
             raise ValueError(f"dihedral n={n} has order {2 * n}, not {order}")
     return n

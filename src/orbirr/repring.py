@@ -9,12 +9,13 @@ test suite validates them against explicit permutation-matrix models.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .chartab import character_table
-from .exact import Cyclotomic, rational
-from .groups import PermGroup
+from .exact import Cyclotomic, parse_cyclotomic, rational
+from .groups import PermGroup, _int_field
 
 
 def _as_value(x) -> Cyclotomic:
@@ -73,9 +74,6 @@ class ClassFunction:
     def scale(self, c) -> "ClassFunction":
         c = _as_value(c)
         return ClassFunction(self.group, [c * v for v in self.values])
-
-    def value_at(self, perm) -> Cyclotomic:
-        return self.values[self.group.class_of(perm)]
 
     def dim(self) -> Fraction:
         """Virtual dimension: the value at the identity class."""
@@ -246,15 +244,11 @@ def rep_from_json(G: PermGroup, spec) -> ClassFunction:
     {"kind":"irreducible","index":2} | {"kind":"regular"} |
     {"kind":"permutation"} | {"kind":"character","values_by_class":["2","-1","0"]}
     """
-    import json as _json
-
-    from .exact import parse_cyclotomic
-
     if isinstance(spec, str):
-        spec = _json.loads(spec)
+        spec = json.loads(spec)
     kind = spec.get("kind")
     if kind == "irreducible":
-        idx = int(spec["index"])
+        idx = _int_field(spec, "irreducible representation", "index")
         rows = character_table(G).rows
         if not 0 <= idx < len(rows):
             raise ValueError(f"irreducible index {idx} out of range")
@@ -264,6 +258,10 @@ def rep_from_json(G: PermGroup, spec) -> ClassFunction:
     if kind == "permutation":
         return permutation_character(G)
     if kind == "character":
-        vals = [parse_cyclotomic(s) for s in spec["values_by_class"]]
-        return ClassFunction(G, vals)
+        strings = spec.get("values_by_class")
+        if not (isinstance(strings, list)
+                and all(isinstance(s, str) for s in strings)):
+            raise ValueError("character representation needs a list of strings "
+                             f"'values_by_class', got {json.dumps(strings)}")
+        return ClassFunction(G, [parse_cyclotomic(s) for s in strings])
     raise ValueError(f"unknown representation kind {spec!r}")

@@ -216,9 +216,12 @@ def check_orbifold_point() -> CheckResult:
     return CheckResult("orbifold_237", len(checks), failures, failures == 0)
 
 
-def check_esum(max_n: int = 50) -> CheckResult:
+_ESUM_MAX_N = 50
+
+
+def check_esum() -> CheckResult:
     instances = failures = 0
-    for n in range(2, max_n + 1):
+    for n in range(2, _ESUM_MAX_N + 1):
         total = rational(0)
         for k in range(1, n):
             total = total + (rational(1) - root_of_unity(n, -k)).inverse()

@@ -5,9 +5,12 @@ kernels: conjugacy data is recomputed by plain dictionary brute force, the
 reference character tables come either from the closed cyclic-group formula
 or from simultaneous eigenspace splitting over an exact cyclotomic field
 (sympy), and the exterior-power oracles work on explicit permutation
-matrices with fraction arithmetic.  The one exception is the orthogonality
-reference: it reads the group's classes and sums both families term by term
-in `Cyclotomic` arithmetic, independently of the integer arrays it checks.
+matrices with fraction arithmetic.  Two references read the group's
+classes: the orthogonality reference sums both families term by term in
+`Cyclotomic` arithmetic, independently of the integer arrays it checks, and
+`full_enumeration_average` sums a class function over every element,
+independently of class sizes and sectors.  `reduced` and `sort_key` compare
+cyclotomic values at their smallest conductor, by Fraction elimination.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from math import isqrt, lcm
 from sympy import Poly, QQ, Symbol
 from sympy.polys.matrices import DomainMatrix
 
-from orbirr.exact import Cyclotomic, rational, root_of_unity
+from orbirr.exact import Cyclotomic, euler_phi, rational, root_of_unity
 from orbirr.groups import PermGroup, pinv, pmul, porder, ppow
 
 # -- brute-force group structure (no numpy, no kernels) ------------------------
@@ -166,8 +169,58 @@ def reference_table_rows(G: PermGroup) -> list[tuple[Cyclotomic, ...]]:
     return _sympy_reference_rows(G, classes)
 
 
+# -- conductor-independent comparison keys --------------------------------------
+
+
+def reduced(x: Cyclotomic) -> Cyclotomic:
+    """Equal element at the smallest conductor dividing x's conductor."""
+    if x.is_rational():
+        return rational(x.c[0])
+    for m in range(2, x.n):
+        if x.n % m == 0:
+            down = _try_descend(x, m)
+            if down is not None:
+                return down
+    return x
+
+
+def _try_descend(x: Cyclotomic, m: int) -> Cyclotomic | None:
+    # Solve for coordinates of x in the power basis of Q(zeta_m).
+    ph_n, ph_m = euler_phi(x.n), euler_phi(m)
+    cols = [root_of_unity(m, j).lift(x.n).c for j in range(ph_m)]
+    # Gaussian elimination on the (ph_n x ph_m) system cols * y = x.c
+    mat = [[cols[j][i] for j in range(ph_m)] + [x.c[i]] for i in range(ph_n)]
+    pivots: list[tuple[int, int]] = []
+    row = 0
+    for col in range(ph_m):
+        sel = next((r for r in range(row, ph_n) if mat[r][col]), None)
+        if sel is None:
+            continue
+        mat[row], mat[sel] = mat[sel], mat[row]
+        inv = Fraction(1) / mat[row][col]
+        mat[row] = [v * inv for v in mat[row]]
+        for r in range(ph_n):
+            if r != row and mat[r][col]:
+                f = mat[r][col]
+                mat[r] = [v - f * w for v, w in zip(mat[r], mat[row])]
+        pivots.append((row, col))
+        row += 1
+    if any(mat[r][-1] for r in range(row, ph_n)):
+        return None
+    sol = [Fraction(0)] * ph_m
+    for r, c in pivots:
+        sol[c] = mat[r][-1]
+    return Cyclotomic(m, sol)
+
+
+def sort_key(x: Cyclotomic) -> tuple:
+    """Deterministic total-order key (conductor-independent)."""
+    r = reduced(x)
+    return (r.n,) + r.c
+
+
 def row_key(row) -> tuple:
-    return tuple(v.sort_key() for v in row)
+    return tuple(sort_key(v) for v in row)
 
 
 def table_row_multiset(rows) -> list[tuple]:
@@ -203,6 +256,22 @@ def fraction_orthogonality(table) -> bool:
             if s != want:
                 return False
     return True
+
+
+def full_enumeration_average(G: PermGroup, v) -> Fraction:
+    """(1/|G|) sum over every element of V(g), summed by full enumeration.
+
+    Independent of the class-size bookkeeping; ties the inertia sum back to
+    orbit-stabilizer.
+    """
+    class_of = G.class_of_index()
+    total = rational(0)
+    for idx in range(G.order):
+        total = total + v.values[int(class_of[idx])]
+    q = (total * rational(Fraction(1, G.order))).as_rational()
+    if q is None:
+        raise ValueError("enumeration average failed to be rational")
+    return q
 
 
 # -- exact matrix oracles for lambda operations ----------------------------------

@@ -5,16 +5,17 @@ import numpy as np
 import pytest
 
 from orbirr import chartab
-from orbirr.chartab import (CharacterTable, character_table,
-                            smallest_dixon_prime, verify_orthogonality)
+from orbirr.chartab import (CharacterTable, TableComputationError,
+                            character_table, smallest_dixon_prime,
+                            verify_orthogonality)
 from orbirr.exact import (ConductorCapExceeded, conductor_cap,
                           format_cyclotomic, rational, root_of_unity,
                           set_conductor_cap)
 from orbirr.groups import cyclic, dihedral, quaternion, symmetric
 from orbirr.repring import ClassFunction, regular_character
 
-from exact_oracles import (fraction_orthogonality, reference_table_rows,
-                           table_row_multiset)
+from exact_oracles import (fraction_orthogonality, reduced,
+                           reference_table_rows, table_row_multiset)
 
 
 class TestSmallTables:
@@ -66,7 +67,7 @@ class TestTableInvariants:
             e = G.exponent()
             for row in character_table(G).rows:
                 for v in row:
-                    assert e % v.reduced().n == 0
+                    assert e % reduced(v).n == 0
 
     def test_deterministic_row_order(self):
         a = character_table(symmetric(4))
@@ -219,6 +220,23 @@ class TestDixonPrime:
 
     def test_recorded_prime(self):
         assert character_table(symmetric(4)).prime == 13
+
+
+class TestLiftFailures:
+    @pytest.mark.parametrize("make", [lambda: cyclic(5), lambda: symmetric(3),
+                                      lambda: dihedral(4), lambda: cyclic(12)],
+                             ids=["C5", "S3", "D4", "C12"])
+    def test_wrong_root_of_unity_is_caught(self, monkeypatch, make):
+        # with omega = 1 the inverse DFT smears each value over every
+        # exponent, so the multiplicity checks must reject the lift
+        monkeypatch.setattr(chartab, "_primitive_root", lambda p: 1)
+        with pytest.raises(TableComputationError,
+                           match="eigenvalue multiplicities"):
+            character_table(make())
+
+    def test_element_order_over_cap_raises(self):
+        with pytest.raises(ConductorCapExceeded, match="conductor 300 exceeds cap"):
+            character_table(cyclic(300))
 
 
 class TestAgainstIndependentOracle:

